@@ -6,7 +6,8 @@ seen earlier in the stream -- is swept across a target grid, then
 ingests each stream three ways into a streaming :class:`SchemaSession`:
 
 * ``element``  -- ``Node``/``Edge`` dataclasses through
-  :func:`changesets_from_elements` (the per-element baseline);
+  :func:`changesets_from_elements`, converted to columnar at the session
+  boundary, with ``structural_dedup=False`` (the baseline);
 * ``columnar`` -- interned rows through
   :func:`columnar_changesets_from_rows` with ``structural_dedup=False``;
 * ``dedup``    -- the same columnar feed with ``structural_dedup=True``,
@@ -24,8 +25,9 @@ the target.
 
 Gates (always on, full and ``--quick``):
 
-* every schema fingerprint-identical across all three feeds (dedup is
-  an exact optimisation, not an approximation);
+* every schema fingerprint-identical across all three feeds (the feed
+  is labelled, where dedup is exact; see DESIGN.md "Structural dedup"
+  for the unlabeled case);
 * dedup-on speedup over the element baseline must reach the floor in
   ``MIN_SPEEDUP`` for its ``(elements, ratio)`` row -- floors rise with
   the repeat ratio because that is the whole point of the bench, with

@@ -1,4 +1,4 @@
-"""Columnar vs element-wise ingest throughput (single core).
+"""Columnar vs element-input ingest throughput (single core).
 
 Writes one synthetic labelled graph to a JSON-lines file, decodes the
 records once, then ingests the same decoded records twice into a
@@ -6,8 +6,8 @@ streaming :class:`SchemaSession`:
 
 * ``element`` -- records become ``Node``/``Edge`` dataclasses
   (:func:`record_to_element`), :func:`changesets_from_elements` groups
-  them, the session materialises a ``PropertyGraph`` per change-set,
-  and the pipeline walks property dicts per element in every layer;
+  them, and the session materialises a ``PropertyGraph`` per change-set
+  and converts it to an :class:`ElementBatch` at its boundary;
 * ``columnar`` -- records intern into raw rows
   (:func:`columnar_rows_from_records`) and group into
   :class:`ElementBatch` payloads; the pipeline signs one MinHash

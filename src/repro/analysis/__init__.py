@@ -1,8 +1,8 @@
 """Invariant-enforcing static analysis for the discovery core.
 
 The codebase's headline guarantees -- bit-identical checkpoint/restore,
-sharded == single-session fingerprints, columnar == element-wise oracles
--- rest on invariants that code review alone does not enforce:
+sharded == single-session fingerprints, columnar == seed-reference
+oracles -- rest on invariants that code review alone does not enforce:
 deterministic iteration in merge paths, every piece of mutable state
 threaded through merge/checkpoint/fingerprint, and no per-element object
 churn on the columnar hot path.  This package makes those invariants

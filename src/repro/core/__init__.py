@@ -19,7 +19,7 @@ from repro.core.cardinality_inference import (
     compute_cardinalities,
     compute_cardinalities_streaming,
 )
-from repro.core.clustering import Cluster, ClusteringOutcome, cluster_features
+from repro.core.clustering import ClusteringOutcome
 from repro.core.config import AdaptiveOverrides, ClusteringMethod, PGHiveConfig
 from repro.core.constraints import infer_property_constraints, property_frequency
 from repro.core.datatype_inference import (
@@ -37,7 +37,7 @@ from repro.core.key_inference import (
 )
 from repro.core.maintenance import MaintainedSchema
 from repro.core.pipeline import CAPABILITIES, DiscoveryResult, PGHive
-from repro.core.preprocess import ElementRecord, FeatureMatrix, Preprocessor
+from repro.core.preprocess import Preprocessor
 from repro.core.serialization import to_pg_schema, to_xsd
 from repro.core.session import ChangeReport, DiffEvent, SchemaSession
 from repro.core.sharding import ShardedChangeReport, ShardedSchemaSession
@@ -54,7 +54,6 @@ __all__ = [
     "BatchReport",
     "CAPABILITIES",
     "ChangeReport",
-    "Cluster",
     "ClusteringMethod",
     "ClusteringOutcome",
     "DatatypeAccumulator",
@@ -62,9 +61,7 @@ __all__ = [
     "DiscoveryResult",
     "DiscoveryState",
     "DistinctTracker",
-    "ElementRecord",
     "EndpointAccumulator",
-    "FeatureMatrix",
     "IncrementalSchemaDiscovery",
     "KeyAccumulator",
     "MaintainedSchema",
@@ -81,7 +78,6 @@ __all__ = [
     "bounds_for_edge_type",
     "candidate_keys_for_type",
     "candidate_keys_from_summaries",
-    "cluster_features",
     "compute_cardinalities",
     "compute_cardinalities_streaming",
     "estimate_distance_scale",

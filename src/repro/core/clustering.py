@@ -8,14 +8,14 @@ representative is the candidate type handed to Algorithm 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.accumulators import SummaryOptions, ensure_summaries
 from repro.core.adaptive import AdaptiveParameters, adapt_parameters
 from repro.core.config import ClusteringMethod, PGHiveConfig
-from repro.core.preprocess import ColumnarFeatures, FeatureMatrix
+from repro.core.preprocess import ColumnarFeatures
 from repro.graph.columnar import ColumnarElements, Interner
 from repro.lsh.base import GroupingRule, group
 from repro.lsh.elsh import EuclideanLSH
@@ -23,44 +23,16 @@ from repro.lsh.minhash import MinHashLSH
 from repro.util import derive_seed
 
 
-@dataclass
-class Cluster:
-    """One candidate type: members plus their representative pattern."""
-
-    member_ids: list[str]
-    labels: set[str] = field(default_factory=set)
-    property_keys: set[str] = field(default_factory=set)
-    source_tokens: set[str] = field(default_factory=set)
-    target_tokens: set[str] = field(default_factory=set)
-    #: per-member observed property keys (constraint inference needs them)
-    member_property_keys: list[frozenset[str]] = field(default_factory=list)
-    #: per-member full property maps (shared references); the streaming
-    #: post-processing accumulators fold these values once, at arrival.
-    member_properties: list = field(default_factory=list)
-    #: per-member (source_id, target_id) pairs for edges, None for nodes.
-    member_endpoints: list = field(default_factory=list)
-
-    @property
-    def is_labeled(self) -> bool:
-        """True when at least one member carried a label (section 4.3)."""
-        return bool(self.labels)
-
-    @property
-    def size(self) -> int:
-        """Number of member instances."""
-        return len(self.member_ids)
-
-
 class ColumnarCluster:
     """One candidate type over columnar batch rows (no member objects).
 
-    Exposes the same representative-pattern surface as :class:`Cluster`
-    (``labels``, ``property_keys``, endpoint token sets, ``member_ids``)
-    so Algorithm 2's merge decisions run unchanged, but recording is
-    columnar: :meth:`record_into` attaches members and folds their value
-    *columns* into the type's streaming summaries -- datatype lattice
-    joins, distinct-value witnesses, and endpoint counters consume one
-    column per (key-set group, key), not one cell per element.
+    Exposes the representative pattern Algorithm 2 merges on
+    (``labels``, ``property_keys``, endpoint token sets, ``member_ids``);
+    recording is columnar: :meth:`record_into` attaches members and folds
+    their value *columns* into the type's streaming summaries -- datatype
+    lattice joins, distinct-value witnesses, and endpoint counters
+    consume one column per (key-set group, key), not one cell per
+    element.
     """
 
     __slots__ = (
@@ -150,20 +122,19 @@ class ColumnarCluster:
     ) -> None:
         """Attach members to ``schema_type``, folding columns vectorised.
 
-        Element-for-element equivalent to the legacy per-member loop of
-        ``type_extraction._record_members``: replayed instances are
-        skipped, ``exclude_record`` stubs are never recorded, the
-        summary-resurrection guard is identical, and the accumulator
-        outcomes are order-invariant -- only the folding granularity
-        changes (per column instead of per cell).
+        Replayed instances are skipped, ``exclude_record`` stubs are
+        never recorded, and summaries are never resurrected over unfolded
+        history.  Accumulator outcomes equal folding each member's cells
+        one at a time through the per-cell ``observe`` methods (the
+        columnar oracle in ``tests/properties`` pins this); only the
+        folding granularity changes.
         """
         block = self.block
         is_edge = block.is_edges
-        # Mirror the legacy guard exactly, side effects included: when the
-        # type is fresh (or already carries summaries), summaries are
-        # ensured *before* member recording -- so a cluster whose members
-        # are all excluded stubs still leaves a (possibly empty) summary
-        # bundle on a zero-instance type, exactly like the element path.
+        # When the type is fresh (or already carries summaries), summaries
+        # are ensured *before* member recording -- so a cluster whose
+        # members are all excluded stubs still leaves a (possibly empty)
+        # summary bundle on a zero-instance type.
         summaries = None
         if options is not None and (
             schema_type.summaries is not None
@@ -255,93 +226,13 @@ class ColumnarCluster:
 class ClusteringOutcome:
     """Clusters plus the parameters that produced them."""
 
-    clusters: list[Cluster]
+    clusters: list[ColumnarCluster]
     parameters: AdaptiveParameters | None
 
     @property
     def cluster_count(self) -> int:
         """Number of clusters."""
         return len(self.clusters)
-
-
-def _build_cluster(features: FeatureMatrix, member_rows: list[int]) -> Cluster:
-    cluster = Cluster(member_ids=[])
-    for row in member_rows:
-        record = features.records[row]
-        cluster.member_ids.append(record.element_id)
-        cluster.labels.update(record.labels)
-        cluster.property_keys.update(record.property_keys)
-        cluster.member_property_keys.append(record.property_keys)
-        cluster.member_properties.append(record.properties)
-        cluster.member_endpoints.append(
-            None
-            if record.source_id is None
-            else (record.source_id, record.target_id)
-        )
-        if record.source_token is not None:
-            cluster.source_tokens.add(record.source_token)
-        if record.target_token is not None:
-            cluster.target_tokens.add(record.target_token)
-    return cluster
-
-
-def cluster_features(
-    features: FeatureMatrix,
-    config: PGHiveConfig,
-    kind: str,
-    minhash_cache: dict[tuple[int, int, int], MinHashLSH] | None = None,
-) -> ClusteringOutcome:
-    """Cluster one :class:`FeatureMatrix` with the configured LSH method.
-
-    ``kind`` is ``"nodes"`` or ``"edges"``; it selects the adaptive-T
-    formula and the per-kind manual overrides.
-
-    ``minhash_cache`` (keyed by ``(num_tables, band_size, seed)``) lets an
-    incremental run reuse one :class:`MinHashLSH` instance -- and with it
-    the signature cache of every structural pattern seen in earlier
-    batches -- whenever batches resolve to the same adaptive parameters
-    (always the case under manual ``num_tables`` overrides; otherwise only
-    when the adaptive formula lands on the same value).
-    """
-    if len(features) == 0:
-        return ClusteringOutcome([], None)
-
-    overrides = config.node_lsh if kind == "nodes" else config.edge_lsh
-    label_count = len({label for record in features.records for label in record.labels})
-    parameters = adapt_parameters(
-        features.vectors,
-        label_count=label_count,
-        kind=kind,
-        overrides=overrides,
-        seed=derive_seed(config.seed, "adaptive", kind),
-    )
-
-    if config.method is ClusteringMethod.ELSH:
-        lsh = EuclideanLSH(
-            bucket_length=parameters.bucket_length,
-            num_tables=parameters.num_tables,
-            hashes_per_table=config.hashes_per_table,
-            seed=derive_seed(config.seed, "elsh", kind),
-        )
-        groups = lsh.cluster(features.vectors, rule=config.grouping_rule)
-    else:
-        seed = derive_seed(config.seed, "minhash", kind)
-        cache_key = (parameters.num_tables, config.minhash_band_size, seed)
-        lsh = None if minhash_cache is None else minhash_cache.get(cache_key)
-        if lsh is None:
-            lsh = MinHashLSH(
-                num_tables=parameters.num_tables,
-                band_size=config.minhash_band_size,
-                seed=seed,
-            )
-            if minhash_cache is not None:
-                minhash_cache[cache_key] = lsh
-        # cluster() runs on the batched kernel: one signatures_batch pass
-        # over all token sets, served from the signature cache when warm.
-        groups = lsh.cluster(features.token_sets, rule=config.grouping_rule)
-
-    clusters = [_build_cluster(features, group_rows) for group_rows in groups]
-    return ClusteringOutcome(clusters, parameters)
 
 
 def _groups_by_first_occurrence(
@@ -351,8 +242,8 @@ def _groups_by_first_occurrence(
 
     ``group_of_element`` assigns each element a dense group id; the
     result lists groups by first-member occurrence with members
-    ascending -- the exact order the element-wise AND grouping produces,
-    fully vectorised.
+    ascending -- the exact order AND grouping over per-element
+    signatures produces, fully vectorised.
     """
     count = len(group_of_element)
     first_member = np.full(group_count, count, dtype=np.intp)
@@ -373,16 +264,24 @@ def cluster_features_columnar(
     kind: str,
     minhash_cache: dict[tuple[int, int, int], MinHashLSH] | None = None,
 ) -> ClusteringOutcome:
-    """Columnar counterpart of :func:`cluster_features`.
+    """Cluster one element kind with the configured LSH method.
 
-    Identical adaptive parameters (the representation vectors are
-    bit-identical) and an identical element partition in identical
-    order.  On the MinHash path signatures are computed once per
-    *distinct* interned (label-token, key-set[, endpoint-token])
-    pattern -- handed to the kernel as pre-interned id arrays -- and the
-    AND grouping runs over patterns, then expands to elements through
-    the pattern-inverse column; elements with equal patterns sign
-    equally, so the expanded partition equals the per-element one.
+    ``kind`` is ``"nodes"`` or ``"edges"``; it selects the adaptive-T
+    formula and the per-kind manual overrides.
+
+    ``minhash_cache`` (keyed by ``(num_tables, band_size, seed)``) lets an
+    incremental run reuse one :class:`MinHashLSH` instance -- and with it
+    the signature cache of every structural pattern seen in earlier
+    batches -- whenever batches resolve to the same adaptive parameters
+    (always the case under manual ``num_tables`` overrides; otherwise only
+    when the adaptive formula lands on the same value).
+
+    On the MinHash path signatures are computed once per *distinct*
+    interned (label-token, key-set[, endpoint-token]) pattern -- handed
+    to the kernel as pre-interned id arrays -- and the grouping runs
+    over patterns, then expands to elements through the pattern-inverse
+    column; elements with equal patterns sign equally, so the expanded
+    partition equals the per-element one.
     """
     if len(features) == 0:
         return ClusteringOutcome([], None)

@@ -100,15 +100,11 @@ class PGHiveConfig:
     #: element signature has a live refcount skip preprocessing and LSH
     #: clustering, folding only the streaming accumulators.  Engages for
     #: exact-grouping clustering (MinHash + AND); other configurations
-    #: keep the full per-row pipeline.  Schema output is identical either
-    #: way (DESIGN.md "Structural dedup").
+    #: keep the full per-row pipeline.  Not always output-neutral: on
+    #: unlabeled or partly labelled incremental streams the split can
+    #: change which types Algorithm 2 merges (DESIGN.md "Structural
+    #: dedup").
     structural_dedup: bool = True
-    #: MinHash hashing kernel: ``"auto"`` selects the compiled (numba)
-    #: kernel when importable and falls back to pure numpy, ``"numpy"``
-    #: and ``"numba"`` force one path.  Both kernels are bit-identical;
-    #: forcing ``"numba"`` without numba installed is a configuration
-    #: error.  Applied process-wide when a pipeline/session is built.
-    minhash_kernel: str = "auto"
     #: Parallel shard handoff: ``"auto"`` ships columnar change-sets
     #: through shared-memory blocks when the platform supports them and
     #: falls back to pickling, ``"pickle"``/``"shm"`` force one path.
@@ -158,11 +154,6 @@ class PGHiveConfig:
             raise ConfigurationError(
                 "key_pair_tracking_cap must be >= 0, got "
                 f"{self.key_pair_tracking_cap}"
-            )
-        if self.minhash_kernel not in ("auto", "numpy", "numba"):
-            raise ConfigurationError(
-                "minhash_kernel must be one of 'auto', 'numpy', 'numba', "
-                f"got {self.minhash_kernel!r}"
             )
         if self.shard_handoff not in ("auto", "pickle", "shm"):
             raise ConfigurationError(

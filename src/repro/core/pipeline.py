@@ -22,11 +22,7 @@ from repro.core.cardinality_inference import (
     compute_cardinalities,
     compute_cardinalities_streaming,
 )
-from repro.core.clustering import (
-    ColumnarCluster,
-    cluster_features,
-    cluster_features_columnar,
-)
+from repro.core.clustering import ColumnarCluster, cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.constraints import infer_property_constraints
 from repro.core.datatype_inference import infer_datatypes, infer_datatypes_streaming
@@ -42,7 +38,7 @@ from repro.graph.columnar import (
 from repro.graph.model import PropertyGraph
 from repro.graph.store import GraphStore
 from repro.lsh.base import GroupingRule
-from repro.lsh.minhash import MinHashLSH, configure_minhash_kernel
+from repro.lsh.minhash import MinHashLSH
 from repro.schema.model import SchemaGraph
 from repro.schema.validation import ValidationMode
 from repro.util import Timer
@@ -128,10 +124,6 @@ class PGHive:
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
         self.config = config or PGHiveConfig()
-        # Kernel choice is process-wide (signatures are bit-identical
-        # either way); applying it here covers sessions and the sharded
-        # workers, which all build a pipeline from their config.
-        configure_minhash_kernel(self.config.minhash_kernel)
 
     # ------------------------------------------------------------------
     # Static discovery (single batch)
@@ -188,9 +180,9 @@ class PGHive:
     # ------------------------------------------------------------------
     # Shared internals
     # ------------------------------------------------------------------
-    def _process_batch(
+    def _process_batch_columnar(
         self,
-        graph: PropertyGraph,
+        batch: ElementBatch,
         schema: SchemaGraph,
         timer: Timer,
         result: DiscoveryResult,
@@ -198,8 +190,15 @@ class PGHive:
         build_summaries: bool = False,
         summary_options: SummaryOptions | None = None,
         exclude_record: frozenset[str] = frozenset(),
+        signatures: SignatureStore | None = None,
     ) -> None:
         """Steps (b)-(d) for one batch, merging into ``schema`` in place.
+
+        Every insert reaches discovery here, as an :class:`ElementBatch`:
+        the preprocessor assembles vectors from interned id columns,
+        clustering signs one MinHash pattern per distinct (label-token,
+        key-set) combination, and extraction folds value columns into the
+        per-type accumulators.
 
         When ``state`` is supplied (incremental runs), the preprocessor is
         fitted on the first batch only and reused afterwards -- tokens the
@@ -220,63 +219,20 @@ class PGHive:
         participate in preprocessing and clustering (endpoint tokens and
         batch well-formedness need them) but contribute no counts, specs,
         or accumulator folds.
-        """
-        if state is None:
-            state = PipelineState()
-        summary_options = self._resolve_summary_options(
-            build_summaries, summary_options
-        )
-        with timer.measure("preprocess"):
-            if state.preprocessor is None:
-                state.preprocessor = Preprocessor(self.config).fit(graph)
-            preprocessor = state.preprocessor
-            node_features = preprocessor.node_features(graph)
-            edge_features = preprocessor.edge_features(graph)
-        with timer.measure("clustering"):
-            node_outcome = cluster_features(
-                node_features, self.config, "nodes", state.minhash_cache
-            )
-            edge_outcome = cluster_features(
-                edge_features, self.config, "edges", state.minhash_cache
-            )
-        self._extract_and_tally(
-            schema, timer, result, node_outcome, edge_outcome,
-            summary_options, exclude_record,
-        )
-
-    def _process_batch_columnar(
-        self,
-        batch: ElementBatch,
-        schema: SchemaGraph,
-        timer: Timer,
-        result: DiscoveryResult,
-        state: PipelineState | None = None,
-        build_summaries: bool = False,
-        summary_options: SummaryOptions | None = None,
-        exclude_record: frozenset[str] = frozenset(),
-        signatures: SignatureStore | None = None,
-    ) -> None:
-        """Steps (b)-(d) for one columnar batch (the zero-copy fast path).
-
-        Mirrors :meth:`_process_batch` stage for stage but never touches
-        element objects: the preprocessor assembles vectors from interned
-        id columns, clustering signs one MinHash pattern per distinct
-        (label-token, key-set) combination, and extraction folds value
-        columns into the per-type accumulators.  Schema results are
-        fingerprint-identical to the element-wise path over the
-        materialised batch (the columnar oracle suite pins this).
 
         ``signatures`` enables content-addressable structural dedup: rows
         whose element signature already has a live refcount (a *prior
         batch* carried the same structure) skip preprocessing and
         clustering and fold straight into the accumulators through
         per-signature repeat clusters.  The split only engages for
-        exact-grouping clustering (MinHash + AND), where cluster
-        membership is a pure function of the interned id columns the
-        signature already captures -- so splitting cannot change the
-        discovered schema, only the work done to discover it.  Refcounts
-        are maintained whenever a store is supplied (even when the split
-        is gated off) so deletions can decrement symmetrically.
+        exact-grouping clustering (MinHash + AND).  It is *not* always
+        output-neutral: removing repeat rows changes which rows
+        ``adapt_parameters`` samples, the cluster boundaries and the
+        cluster order, and unlabeled Algorithm 2 absorption is sensitive
+        to all three (``tests/properties/test_dedup_oracle.py`` pins a
+        known divergence).  Refcounts are maintained whenever a store is
+        supplied (even when the split is gated off) so deletions can
+        decrement symmetrically.
         """
         if state is None:
             state = PipelineState()

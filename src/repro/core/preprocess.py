@@ -15,63 +15,24 @@ absent, leaving the pure property-set behaviour the paper describes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import PGHiveConfig
-from repro.embedding.corpus import build_label_corpus, build_label_corpus_columnar
+from repro.embedding.corpus import build_label_corpus_columnar
 from repro.embedding.word2vec import Word2Vec
 from repro.graph.columnar import ColumnarElements, ElementBatch, Interner
-from repro.graph.model import PropertyGraph
 from repro.util import derive_seed
 
 
 @dataclass
-class ElementRecord:
-    """Per-element metadata flowing from preprocessing into type extraction."""
-
-    element_id: str
-    token: str
-    labels: frozenset[str]
-    property_keys: frozenset[str]
-    source_token: str | None = None
-    target_token: str | None = None
-    #: full property map (shared reference, not copied); the streaming
-    #: post-processing accumulators fold these values at arrival.
-    properties: Mapping[str, object] = field(default_factory=dict)
-    #: endpoint node ids (edges only) for distinct-endpoint counters.
-    source_id: str | None = None
-    target_id: str | None = None
-
-    @property
-    def is_labeled(self) -> bool:
-        """True when the element carries at least one label."""
-        return bool(self.labels)
-
-
-@dataclass
-class FeatureMatrix:
-    """Clustering input for one element kind (nodes or edges)."""
-
-    records: list[ElementRecord]
-    vectors: np.ndarray
-    token_sets: list[frozenset[str]]
-    property_keys: list[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass
 class ColumnarFeatures:
-    """Clustering input assembled straight from a columnar block.
+    """Clustering input for one element kind (nodes or edges).
 
-    Carries the representation vectors (bit-identical to the
-    :class:`FeatureMatrix` the element path would build) plus the block
-    itself: clustering reads interned id columns instead of per-element
-    records, and type extraction records members by row index.
+    Carries the representation vectors plus the columnar block itself:
+    clustering reads interned id columns instead of per-element records,
+    and type extraction records members by row index.
     """
 
     block: ColumnarElements
@@ -124,18 +85,8 @@ class Preprocessor:
             norm = float(np.linalg.norm(blend)) or 1.0
         return blend * (self.config.label_weight / norm)
 
-    def fit(self, graph: PropertyGraph) -> "Preprocessor":
-        """Train the label-token Word2Vec model on ``graph``."""
-        corpus = build_label_corpus(
-            graph,
-            max_sentences=self.config.max_corpus_sentences,
-            seed=derive_seed(self.config.seed, "corpus"),
-        )
-        return self._fit_corpus(corpus)
-
     def fit_batch(self, batch: ElementBatch) -> "Preprocessor":
-        """Train on a columnar batch; equivalent to :meth:`fit` on the
-        materialised graph (the corpus builders emit identical sentences)."""
+        """Train the label-token Word2Vec model on ``batch``."""
         corpus = build_label_corpus_columnar(
             batch,
             max_sentences=self.config.max_corpus_sentences,
@@ -156,160 +107,16 @@ class Preprocessor:
 
     def _require_model(self) -> Word2Vec:
         if self.model is None:
-            raise RuntimeError("Preprocessor.fit must run before transforming")
+            raise RuntimeError("Preprocessor.fit_batch must run before transforming")
         return self.model
 
-    def _embedding_table(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Embeddings for ``tokens`` as ``(table, row_of_token)``.
-
-        ``table`` holds one scaled embedding per *distinct* token (computed
-        at most once per model lifetime, via the persistent cache) and
-        ``row_of_token[i]`` indexes the table row of ``tokens[i]``, so the
-        caller gathers all element embeddings in one fancy-indexing pass.
-        """
-        model = self._require_model()
-        cache = self._embedding_cache
-        table_index: dict[str, int] = {}
-        table_rows: list[np.ndarray] = []
-        row_of_token = np.empty(len(tokens), dtype=np.intp)
-        for position, token in enumerate(tokens):
-            row = table_index.get(token)
-            if row is None:
-                embedding = cache.get(token)
-                if embedding is None:
-                    embedding = self._scaled_embedding(model, token)
-                    cache[token] = embedding
-                row = len(table_rows)
-                table_index[token] = row
-                table_rows.append(embedding)
-            row_of_token[position] = row
-        if not table_rows:
-            return np.zeros((0, self.config.embedding_dim)), row_of_token
-        return np.vstack(table_rows), row_of_token
-
-    @staticmethod
-    def _indicator_block(
-        vectors: np.ndarray,
-        offset: int,
-        key_index: dict[str, int],
-        keys_per_row: list[Iterable[str]],
-    ) -> None:
-        """Set the binary property-indicator block via index arrays."""
-        rows = np.fromiter(
-            (
-                row
-                for row, row_keys in enumerate(keys_per_row)
-                for _ in row_keys
-            ),
-            dtype=np.intp,
-        )
-        columns = np.fromiter(
-            (key_index[key] for row_keys in keys_per_row for key in row_keys),
-            dtype=np.intp,
-            count=rows.size,
-        )
-        vectors[rows, offset + columns] = 1.0
-
-    def node_features(self, graph: PropertyGraph) -> FeatureMatrix:
-        """Vectorise every node of ``graph``."""
-        model = self._require_model()
-        keys = graph.all_node_property_keys()
-        key_index = {key: position for position, key in enumerate(keys)}
-        dim = model.dim
-
-        records: list[ElementRecord] = []
-        token_sets: list[frozenset[str]] = []
-        tokens_per_row: list[str] = []
-        keys_per_row: list[Iterable[str]] = []
-        for node in graph.nodes():
-            token = node.token
-            tokens_per_row.append(token)
-            keys_per_row.append(node.properties)
-            records.append(
-                ElementRecord(
-                    node.node_id,
-                    token,
-                    node.labels,
-                    node.property_keys,
-                    properties=node.properties,
-                )
-            )
-            tokens = set(node.properties)
-            if token:
-                tokens.add(f"label:{token}")
-            token_sets.append(frozenset(tokens))
-
-        vectors = np.zeros((graph.node_count, dim + len(keys)))
-        table, row_of_token = self._embedding_table(tokens_per_row)
-        if table.size:
-            vectors[:, :dim] = table[row_of_token]
-        self._indicator_block(vectors, dim, key_index, keys_per_row)
-        return FeatureMatrix(records, vectors, token_sets, keys)
-
-    def edge_features(self, graph: PropertyGraph) -> FeatureMatrix:
-        """Vectorise every edge of ``graph`` (3 embeddings + binary props)."""
-        model = self._require_model()
-        keys = graph.all_edge_property_keys()
-        key_index = {key: position for position, key in enumerate(keys)}
-        dim = model.dim
-
-        records: list[ElementRecord] = []
-        token_sets: list[frozenset[str]] = []
-        edge_tokens: list[str] = []
-        source_tokens: list[str] = []
-        target_tokens: list[str] = []
-        keys_per_row: list[Iterable[str]] = []
-        for edge in graph.edges():
-            source_token = graph.node(edge.source_id).token
-            target_token = graph.node(edge.target_id).token
-            edge_tokens.append(edge.token)
-            source_tokens.append(source_token)
-            target_tokens.append(target_token)
-            keys_per_row.append(edge.properties)
-            records.append(
-                ElementRecord(
-                    edge.edge_id,
-                    edge.token,
-                    edge.labels,
-                    edge.property_keys,
-                    source_token=source_token,
-                    target_token=target_token,
-                    properties=edge.properties,
-                    source_id=edge.source_id,
-                    target_id=edge.target_id,
-                )
-            )
-            tokens = set(edge.properties)
-            if edge.token:
-                tokens.add(f"label:{edge.token}")
-            if source_token:
-                tokens.add(f"src:{source_token}")
-            if target_token:
-                tokens.add(f"tgt:{target_token}")
-            token_sets.append(frozenset(tokens))
-
-        vectors = np.zeros((graph.edge_count, 3 * dim + len(keys)))
-        table, row_of_token = self._embedding_table(
-            edge_tokens + source_tokens + target_tokens
-        )
-        if table.size:
-            count = graph.edge_count
-            vectors[:, :dim] = table[row_of_token[:count]]
-            vectors[:, dim : 2 * dim] = table[row_of_token[count : 2 * count]]
-            vectors[:, 2 * dim : 3 * dim] = table[row_of_token[2 * count :]]
-        self._indicator_block(vectors, 3 * dim, key_index, keys_per_row)
-        return FeatureMatrix(records, vectors, token_sets, keys)
-
-    # ------------------------------------------------------------------
-    # Columnar fast path (same vectors, no per-element records)
-    # ------------------------------------------------------------------
     def _embedding_rows(
         self, token_sids: np.ndarray, interner: Interner
     ) -> tuple[np.ndarray, np.ndarray]:
         """Embedding table + row index over an interned token-id column.
 
         One scaled embedding per *distinct* token id (served from the
-        persistent string-keyed cache, so the columnar and element paths
+        persistent string-keyed cache, so batches with different interners
         embed identical tokens identically), gathered per element by one
         fancy-indexing pass.
         """

@@ -298,10 +298,10 @@ class SchemaSession:
     def apply(self, change_set: ChangeSet) -> ChangeReport:
         """Apply one change-set: inserts first, then deletions.
 
-        Change-sets carrying a columnar payload take the zero-copy ingest
-        path: the pipeline consumes the :class:`ElementBatch` natively
-        and no per-element dataclasses are materialised (unless the
-        session retains a union graph, which is maintained element-wise).
+        The pipeline consumes only :class:`ElementBatch` inserts.  A
+        columnar payload is used as is; element inserts are resolved into
+        an endpoint-complete batch and converted once, here, at the
+        session boundary.
         """
         if change_set.has_deletions and self._union is None:
             raise ConfigurationError(
@@ -364,19 +364,22 @@ class SchemaSession:
         exclude_record: frozenset[str] = frozenset(),
         columnar: ElementBatch | None = None,
     ) -> ChangeReport:
-        """Shared apply path.  ``inserted`` is the *producer's* insert
-        count -- endpoint stubs resolved into the materialised batch are
-        replays, not inserts, and must not inflate the report.
-        ``exclude_record`` carries producer-marked stub ids (sharded
-        feeds): clustered but never recorded as instances."""
+        """Shared apply path.  ``batch`` (element inserts) and
+        ``columnar`` are alternatives; ``batch`` converts to columnar
+        here and is kept as the union-merge source.  ``inserted`` is the
+        *producer's* insert count -- endpoint stubs resolved into the
+        materialised batch are replays, not inserts, and must not
+        inflate the report.  ``exclude_record`` carries producer-marked
+        stub ids (sharded feeds): clustered but never recorded as
+        instances."""
         self._sequence += 1
         nodes_deleted = edges_deleted = 0
         change_timer = Timer()
         with change_timer.measure("change"):
             if batch is not None:
-                self._ingest(batch, exclude_record)
-            elif columnar is not None:
-                self._ingest_columnar(columnar, exclude_record)
+                columnar = ElementBatch.from_graph(batch, self._dstate.interner)
+            if columnar is not None:
+                self._ingest_columnar(columnar, exclude_record, batch)
             if delete_edge_ids or delete_node_ids:
                 edges_deleted = self._delete_edges(delete_edge_ids)
                 nodes_deleted, cascaded = self._delete_nodes(delete_node_ids)
@@ -400,44 +403,20 @@ class SchemaSession:
         self._emit(report)
         return report
 
-    def _ingest(
-        self,
-        batch: PropertyGraph,
-        exclude_record: frozenset[str] = frozenset(),
-    ) -> None:
-        """Steps (b)-(d) for one insert batch, merging into the schema."""
-        self._pipeline._process_batch(
-            batch,
-            self._schema,
-            self._timer,
-            self._result,
-            self._state,
-            build_summaries=(
-                self._streaming
-                and self._streaming_valid
-                and self.config.post_processing
-            ),
-            summary_options=SummaryOptions(
-                track_keys=self._track_keys,
-                pair_cap=self.config.key_pair_tracking_cap,
-            ),
-            exclude_record=exclude_record,
-        )
-        if self._union is not None and self._union is not batch:
-            self._union.merge_in(batch)
-        self._dirty = True
-
     def _ingest_columnar(
         self,
         batch: ElementBatch,
         exclude_record: frozenset[str] = frozenset(),
+        graph: PropertyGraph | None = None,
     ) -> None:
-        """Steps (b)-(d) for one columnar batch (zero-copy fast path).
+        """Steps (b)-(d) for one insert batch, merging into the schema.
 
         When the session retains a union graph (deletions enabled), the
-        batch is additionally materialised element-wise into the union --
-        deletions stay element-wise by design, so the fast path only
-        skips materialisation entirely on insert-only streaming sessions.
+        inserts are also merged element-wise into the union -- deletions
+        stay element-wise by design.  ``graph`` is the element form the
+        batch was converted from, if any: it is merged directly (or, for
+        an adopted union, not at all) instead of materialising the batch
+        back into elements.
         """
         # The signature store keys refcounts by interner-local signature
         # ids; re-point it at the batch's interner (grow-only lineage, so
@@ -463,10 +442,12 @@ class SchemaSession:
             exclude_record=exclude_record,
             signatures=signatures,
         )
-        if self._union is not None:
+        if self._union is not None and self._union is not graph:
             self._union.merge_in(
+                graph
+                if graph is not None
                 # repro-lint: ignore[PGL301] -- union retention is an opt-in element-wise feature; the columnar fast path skips this branch entirely
-                batch.to_property_graph(
+                else batch.to_property_graph(
                     f"{self.schema_name}-change{self._sequence}"
                 )
             )

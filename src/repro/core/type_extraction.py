@@ -24,91 +24,32 @@ and member instances only accumulate.
 
 from __future__ import annotations
 
-from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions, ensure_summaries
-from repro.core.clustering import Cluster
+from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions
+from repro.core.clustering import ColumnarCluster
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
 from repro.util import jaccard
 
 
-def _record_members(
-    schema_type,
-    cluster: Cluster,
-    options: SummaryOptions | None = DEFAULT_OPTIONS,
-    exclude_record: frozenset[str] = frozenset(),
-) -> None:
-    """Attach cluster members to a type, folding values into its summaries.
-
-    Each member's property values are consumed exactly once per type (the
-    ``record_instance`` replay guard), which is what keeps the streaming
-    post-processing reads equal to a full re-scan of the union graph.
-    ``options=None`` skips accumulation entirely (full-scan-only runs).
-    Clusters built without value payloads -- or edge clusters without
-    endpoint payloads (hand-assembled in tests) -- invalidate the type's
-    summaries instead of silently under-counting.
-
-    ``exclude_record`` lists member ids that must not be recorded at all:
-    endpoint stubs shipped by a partitioner, whose instances are owned
-    (and counted) by another shard.  Excluded members still shaped the
-    cluster's labels and endpoint tokens -- only the instance attachment
-    and value folding are skipped.
-
-    Columnar clusters implement the equivalent semantics themselves
-    (value folding runs per column, not per cell) and are dispatched to
-    :meth:`~repro.core.clustering.ColumnarCluster.record_into`.
-    """
-    record_into = getattr(cluster, "record_into", None)
-    if record_into is not None:
-        record_into(schema_type, options, exclude_record)
-        return
-    is_edge = isinstance(schema_type, EdgeType)
-    member_count = len(cluster.member_ids)
-    has_values = (
-        options is not None
-        and len(cluster.member_properties) == member_count
-        and (not is_edge or len(cluster.member_endpoints) == member_count)
-    )
-    summaries = None
-    if has_values and (
-        schema_type.summaries is not None or schema_type.instance_count == 0
-    ):
-        # Never resurrect summaries over unfolded history: a type whose
-        # summaries were invalidated stays invalid.
-        summaries = ensure_summaries(schema_type, is_edge, options)
-    endpoints_list = cluster.member_endpoints
-    for index, (instance_id, keys) in enumerate(
-        zip(cluster.member_ids, cluster.member_property_keys)
-    ):
-        if instance_id in exclude_record:
-            continue
-        if not schema_type.record_instance(instance_id, keys):
-            continue
-        if summaries is None:
-            schema_type.summaries = None
-            continue
-        endpoints = endpoints_list[index] if index < len(endpoints_list) else None
-        summaries.observe(instance_id, cluster.member_properties[index], endpoints)
-
-
 def _new_node_type(
     schema: SchemaGraph,
-    cluster: Cluster,
+    cluster: ColumnarCluster,
     options: SummaryOptions | None,
     exclude_record: frozenset[str] = frozenset(),
 ) -> NodeType:
     node_type = NodeType(
         schema.new_type_id("n"), cluster.labels, abstract=not cluster.labels
     )
-    _record_members(node_type, cluster, options, exclude_record)
+    cluster.record_into(node_type, options, exclude_record)
     return schema.add_node_type(node_type)
 
 
 def _new_edge_type(
-    schema: SchemaGraph, cluster: Cluster, options: SummaryOptions | None
+    schema: SchemaGraph, cluster: ColumnarCluster, options: SummaryOptions | None
 ) -> EdgeType:
     edge_type = EdgeType(
         schema.new_type_id("e"), cluster.labels, abstract=not cluster.labels
     )
-    _record_members(edge_type, cluster, options)
+    cluster.record_into(edge_type, options)
     for source_token in cluster.source_tokens:
         edge_type.source_tokens.add(source_token)
     for target_token in cluster.target_tokens:
@@ -118,36 +59,36 @@ def _new_edge_type(
 
 def _absorb_node_cluster(
     node_type: NodeType,
-    cluster: Cluster,
+    cluster: ColumnarCluster,
     options: SummaryOptions | None,
     exclude_record: frozenset[str] = frozenset(),
 ) -> None:
     node_type.labels |= cluster.labels
     if cluster.labels:
         node_type.abstract = False
-    _record_members(node_type, cluster, options, exclude_record)
+    cluster.record_into(node_type, options, exclude_record)
 
 
 def _absorb_edge_cluster(
-    edge_type: EdgeType, cluster: Cluster, options: SummaryOptions | None
+    edge_type: EdgeType, cluster: ColumnarCluster, options: SummaryOptions | None
 ) -> None:
     edge_type.labels |= cluster.labels
     if cluster.labels:
         edge_type.abstract = False
     edge_type.source_tokens |= cluster.source_tokens
     edge_type.target_tokens |= cluster.target_tokens
-    _record_members(edge_type, cluster, options)
+    cluster.record_into(edge_type, options)
 
 
 def extract_node_types(
     schema: SchemaGraph,
-    clusters: list[Cluster],
+    clusters: list[ColumnarCluster],
     theta: float,
     summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
     exclude_record: frozenset[str] = frozenset(),
 ) -> SchemaGraph:
     """Fold node clusters into ``schema`` (lines 2-14 of Algorithm 2)."""
-    unlabeled: list[Cluster] = []
+    unlabeled: list[ColumnarCluster] = []
     # Token index built once per call: the per-cluster lookup used to
     # linear-scan every type and recompute its token (sorted+join), which
     # dominated extraction on batches with many distinct structures.  A
@@ -188,12 +129,12 @@ def extract_node_types(
 
 def extract_edge_types(
     schema: SchemaGraph,
-    clusters: list[Cluster],
+    clusters: list[ColumnarCluster],
     theta: float,
     summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
 ) -> SchemaGraph:
     """Fold edge clusters into ``schema`` (section 4.3 "Edges")."""
-    unlabeled: list[Cluster] = []
+    unlabeled: list[ColumnarCluster] = []
     # Same-token candidates indexed once per call (insertion order kept
     # within each token, so the first compatible candidate matches the
     # old full-scan's choice); see extract_node_types for the validity
@@ -230,8 +171,8 @@ def extract_edge_types(
 
 def extract_types(
     schema: SchemaGraph,
-    node_clusters: list[Cluster],
-    edge_clusters: list[Cluster],
+    node_clusters: list[ColumnarCluster],
+    edge_clusters: list[ColumnarCluster],
     theta: float = 0.9,
     summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
     exclude_record: frozenset[str] = frozenset(),
@@ -249,7 +190,7 @@ def extract_types(
     return schema
 
 
-def _best_jaccard_match(candidates, cluster: Cluster, theta: float):
+def _best_jaccard_match(candidates, cluster: ColumnarCluster, theta: float):
     best, best_score = None, -1.0
     cluster_keys = frozenset(cluster.property_keys)
     for candidate in candidates:
@@ -259,7 +200,7 @@ def _best_jaccard_match(candidates, cluster: Cluster, theta: float):
     return best
 
 
-def _best_edge_match(schema: SchemaGraph, cluster: Cluster, theta: float):
+def _best_edge_match(schema: SchemaGraph, cluster: ColumnarCluster, theta: float):
     best, best_score = None, -1.0
     cluster_keys = frozenset(cluster.property_keys)
     for candidate in schema.edge_types():
@@ -271,7 +212,7 @@ def _best_edge_match(schema: SchemaGraph, cluster: Cluster, theta: float):
     return best
 
 
-def _endpoints_compatible(edge_type: EdgeType, cluster: Cluster) -> bool:
+def _endpoints_compatible(edge_type: EdgeType, cluster: ColumnarCluster) -> bool:
     """Source and target token sets must both overlap.
 
     The empty token (an unlabeled endpoint) is a *wildcard*: it gives no

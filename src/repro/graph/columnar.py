@@ -1,8 +1,8 @@
 """Columnar zero-copy ingestion core: :class:`ElementBatch` + interning.
 
-The element-wise hot path materialises every node/edge as a Python
-dataclass and re-walks its property dict in four layers (type extraction,
-preprocessing, MinHash token sets, accumulators).  Incremental-view-
+Materialising every node/edge as a Python dataclass means re-walking its
+property dict in four layers (type extraction, preprocessing, MinHash
+token sets, accumulators).  Incremental-view-
 maintenance systems avoid exactly this by keeping deltas in flat columnar
 relations (Szárnyas et al.), and PG-Schema's label/property-set formalism
 makes the schema-relevant content of an element fully internable: a
@@ -18,14 +18,15 @@ This module provides that representation:
   Label sets are interned by the *set* (not the joined token string):
   two distinct sets whose tokens collide -- ``{"A+B"}`` vs ``{"A","B"}``
   -- keep distinct ids while sharing embedding/LSH behaviour, exactly as
-  element-wise discovery treats them.
+  the element model treats them.
 * :class:`ElementBatch` -- one change-feed batch as contiguous columns:
   element ids, interned label-set ids, interned key-set ids, per-key
   value columns (``rows`` index array + object values), and, for edges,
   endpoint ids and endpoint label-token string ids.
   ``from_elements``/``to_elements`` convert to and from the dataclass
-  world (the element-wise oracle); :class:`BatchBuilder` appends raw rows
-  so file readers ingest without ever instantiating a ``Node``/``Edge``.
+  world (sessions convert element inputs once, at their boundary);
+  :class:`BatchBuilder` appends raw rows so file readers ingest without
+  ever instantiating a ``Node``/``Edge``.
 * :func:`columnar_changesets_from_rows` -- the columnar analogue of
   :func:`repro.graph.changes.changesets_from_elements`: groups a raw row
   stream into endpoint-complete insert :class:`ChangeSet`\\ s whose
@@ -610,10 +611,11 @@ class SignatureStore:
     def remove(self, signature_id: int, n: int = 1) -> int:
         """Decrement by ``n``, dropping the entry at zero.
 
-        Tolerates decrements of unseen signatures (mixed element-wise /
-        columnar feeds count only columnar inserts): the count floors at
-        zero rather than going negative, which is always safe because a
-        missing entry merely demotes future rows to the full pipeline.
+        Tolerates decrements of unseen signatures (state restored from a
+        checkpoint whose element inserts were never counted): the count
+        floors at zero rather than going negative, which is always safe
+        because a missing entry merely demotes future rows to the full
+        pipeline.
         """
         updated = self.refcounts.get(signature_id, 0) - n
         if updated > 0:
@@ -866,7 +868,7 @@ class ElementBatch:
         return f"ElementBatch(nodes={self.node_count}, edges={self.edge_count})"
 
     # ------------------------------------------------------------------
-    # Converters (the element-wise oracle boundary)
+    # Converters (the element-input boundary)
     # ------------------------------------------------------------------
     @classmethod
     def from_elements(

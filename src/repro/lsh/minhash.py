@@ -25,8 +25,6 @@ elements number in the millions.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
-import threading
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
@@ -104,30 +102,12 @@ def _mulmod_p61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _affine_mod_p61(a, x, np.uint64(0))
 
 
-# ----------------------------------------------------------------------
-# Kernel selection: pure-numpy (mandatory fallback) vs compiled (numba)
-# ----------------------------------------------------------------------
-# The hot path factors into two kernels -- build the (U, H) hash table
-# over the distinct tokens, then gather+min-reduce it over the (S, L)
-# member matrix of each equal-length run.  Both have a pure-numpy
-# implementation (the historical vectorized path) and an optional
-# numba-jitted one; the jitted kernels fuse the limb arithmetic and the
-# gather/min into single passes with no intermediate arrays, and are
-# bit-identical by construction (same limb decomposition, same fold,
-# and every value stays below 2^61, so uint64/int64 casts are exact).
-#
-# Selection happens once at import ("auto": numba when importable,
-# numpy otherwise) and can be overridden process-wide through
-# :func:`configure_minhash_kernel` (wired to
-# ``PGHiveConfig.minhash_kernel`` when a pipeline or session is built).
-def _numpy_hash_table(
-    a: np.ndarray, b: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
-    """(U, H) table of ``(a_h * id_u + b_h) mod p`` -- numpy kernel."""
+def _hash_table(a: np.ndarray, b: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """(U, H) table of ``(a_h * id_u + b_h) mod p`` over distinct token ids."""
     return _affine_mod_p61(a[None, :], ids[:, None], b[None, :])
 
 
-def _numpy_gather_min(hashed: np.ndarray, columns: np.ndarray) -> np.ndarray:
+def _gather_min(hashed: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Min-reduce hash-table rows over one (S, L) member matrix.
 
     Gathers one member column at a time: each step copies contiguous
@@ -137,133 +117,6 @@ def _numpy_gather_min(hashed: np.ndarray, columns: np.ndarray) -> np.ndarray:
     for member in range(1, columns.shape[1]):
         np.minimum(mins, hashed[columns[:, member]], out=mins)
     return mins.astype(np.int64)
-
-
-def numba_available() -> bool:
-    """True when the optional numba dependency is importable."""
-    return importlib.util.find_spec("numba") is not None
-
-
-_NUMBA_KERNELS: tuple | None = None
-_NUMBA_LOCK = threading.Lock()
-
-
-def _load_numba_kernels() -> tuple:
-    """Compile (lazily, once) the jitted hash-table and gather kernels.
-
-    Every arithmetic constant is a typed ``np.uint64``: numba promotes
-    ``uint64 op int64`` to ``float64``, which would silently destroy
-    bit-identity -- typed constants keep the whole expression in uint64.
-    """
-    global _NUMBA_KERNELS
-    with _NUMBA_LOCK:
-        if _NUMBA_KERNELS is not None:
-            return _NUMBA_KERNELS
-        import numba
-
-        p61 = np.uint64(_MERSENNE_PRIME)
-        mask29 = np.uint64((1 << 29) - 1)
-        mask32 = np.uint64((1 << 32) - 1)
-        u3 = np.uint64(3)
-        u29 = np.uint64(29)
-        u32 = np.uint64(32)
-        u61 = np.uint64(61)
-
-        @numba.njit(nogil=True, cache=False)
-        def hash_table(a, b, ids):
-            count, hashes = ids.shape[0], a.shape[0]
-            out = np.empty((count, hashes), dtype=np.uint64)
-            for u in range(count):
-                x = ids[u]
-                x_hi = x >> u32
-                x_lo = x & mask32
-                for h in range(hashes):
-                    a_hi = a[h] >> u32
-                    a_lo = a[h] & mask32
-                    hh = a_hi * x_hi
-                    mid = a_hi * x_lo + a_lo * x_hi
-                    ll = a_lo * x_lo
-                    total = (
-                        (hh << u3)
-                        + (mid >> u29)
-                        + ((mid & mask29) << u32)
-                        + (ll >> u61)
-                        + (ll & p61)
-                        + b[h]
-                    )
-                    out[u, h] = total % p61
-            return out
-
-        @numba.njit(nogil=True, cache=False)
-        def gather_min(hashed, columns):
-            count, length = columns.shape
-            hashes = hashed.shape[1]
-            out = np.empty((count, hashes), dtype=np.int64)
-            for s in range(count):
-                row = hashed[columns[s, 0]]
-                for h in range(hashes):
-                    out[s, h] = np.int64(row[h])
-                for member in range(1, length):
-                    other = hashed[columns[s, member]]
-                    for h in range(hashes):
-                        value = np.int64(other[h])
-                        if value < out[s, h]:
-                            out[s, h] = value
-            return out
-
-        _NUMBA_KERNELS = (hash_table, gather_min)
-    return _NUMBA_KERNELS
-
-
-_KERNEL_CHOICES = ("auto", "numpy", "numba")
-_ACTIVE_KERNEL = "numba" if numba_available() else "numpy"
-
-
-def configure_minhash_kernel(choice: str = "auto") -> str:
-    """Select the process-wide MinHash kernel; returns the active one.
-
-    ``"auto"`` picks the compiled kernel when numba is importable and
-    the pure-numpy fallback otherwise; ``"numpy"``/``"numba"`` force a
-    path (forcing ``"numba"`` without numba raises
-    :class:`ConfigurationError`).  Both kernels are bit-identical, so
-    switching mid-process never invalidates cached signatures.
-    """
-    global _ACTIVE_KERNEL
-    if choice not in _KERNEL_CHOICES:
-        raise ConfigurationError(
-            f"minhash kernel must be one of {_KERNEL_CHOICES}, got {choice!r}"
-        )
-    if choice == "auto":
-        resolved = "numba" if numba_available() else "numpy"
-    else:
-        if choice == "numba" and not numba_available():
-            raise ConfigurationError(
-                "minhash_kernel='numba' requires the optional numba "
-                "dependency, which is not importable; install numba or "
-                "use 'auto'/'numpy'"
-            )
-        resolved = choice
-    _ACTIVE_KERNEL = resolved
-    return _ACTIVE_KERNEL
-
-
-def active_minhash_kernel() -> str:
-    """The kernel the next signature computation will use."""
-    return _ACTIVE_KERNEL
-
-
-def _hash_table(a: np.ndarray, b: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    if _ACTIVE_KERNEL == "numba":
-        return _load_numba_kernels()[0](a, b, ids)
-    return _numpy_hash_table(a, b, ids)
-
-
-def _gather_min(hashed: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    if _ACTIVE_KERNEL == "numba":
-        return _load_numba_kernels()[1](
-            hashed, np.ascontiguousarray(columns)
-        )
-    return _numpy_gather_min(hashed, columns)
 
 
 class MinHashLSH:

@@ -2,17 +2,23 @@
 
 import pytest
 
-from repro.core.clustering import cluster_features
+from repro.core.clustering import cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.preprocess import Preprocessor
+from repro.graph.columnar import ElementBatch, Interner
 
 
 @pytest.fixture
-def features(figure1_graph):
-    preprocessor = Preprocessor(PGHiveConfig(seed=2)).fit(figure1_graph)
+def batch(figure1_graph):
+    return ElementBatch.from_graph(figure1_graph, Interner())
+
+
+@pytest.fixture
+def features(batch):
+    preprocessor = Preprocessor(PGHiveConfig(seed=2)).fit_batch(batch)
     return (
-        preprocessor.node_features(figure1_graph),
-        preprocessor.edge_features(figure1_graph),
+        preprocessor.node_features_columnar(batch),
+        preprocessor.edge_features_columnar(batch),
     )
 
 
@@ -20,32 +26,32 @@ class TestClusterFeatures:
     @pytest.mark.parametrize("method", list(ClusteringMethod))
     def test_clusters_partition_elements(self, features, method):
         node_features, _ = features
-        outcome = cluster_features(
+        outcome = cluster_features_columnar(
             node_features, PGHiveConfig(method=method, seed=2), "nodes"
         )
         member_ids = [m for c in outcome.clusters for m in c.member_ids]
-        assert sorted(member_ids) == sorted(
-            r.element_id for r in node_features.records
-        )
+        assert sorted(member_ids) == sorted(node_features.block.ids)
 
     @pytest.mark.parametrize("method", list(ClusteringMethod))
-    def test_no_cross_label_mixing_on_clean_data(self, features, method):
+    def test_no_cross_label_mixing_on_clean_data(self, features, method, figure1_graph):
         node_features, _ = features
-        outcome = cluster_features(
+        outcome = cluster_features_columnar(
             node_features, PGHiveConfig(method=method, seed=2), "nodes"
         )
         for cluster in outcome.clusters:
             # Labeled members of one cluster agree on their label set.
             labeled = [
-                r
-                for r in node_features.records
-                if r.element_id in cluster.member_ids and r.labels
+                figure1_graph.node(member)
+                for member in cluster.member_ids
+                if figure1_graph.node(member).labels
             ]
-            assert len({r.token for r in labeled}) <= 1
+            assert len({node.token for node in labeled}) <= 1
 
     def test_representative_pattern_unions(self, features):
         node_features, _ = features
-        outcome = cluster_features(node_features, PGHiveConfig(seed=2), "nodes")
+        outcome = cluster_features_columnar(
+            node_features, PGHiveConfig(seed=2), "nodes"
+        )
         person_cluster = next(
             c for c in outcome.clusters if "bob" in c.member_ids
         )
@@ -54,7 +60,9 @@ class TestClusterFeatures:
 
     def test_edge_clusters_track_endpoints(self, features):
         _, edge_features = features
-        outcome = cluster_features(edge_features, PGHiveConfig(seed=2), "edges")
+        outcome = cluster_features_columnar(
+            edge_features, PGHiveConfig(seed=2), "edges"
+        )
         works_at = next(
             c for c in outcome.clusters if "e5" in c.member_ids
         )
@@ -63,25 +71,29 @@ class TestClusterFeatures:
 
     def test_parameters_reported(self, features):
         node_features, _ = features
-        outcome = cluster_features(node_features, PGHiveConfig(seed=2), "nodes")
+        outcome = cluster_features_columnar(
+            node_features, PGHiveConfig(seed=2), "nodes"
+        )
         assert outcome.parameters is not None
         assert outcome.parameters.element_count == len(node_features)
 
-    def test_empty_features(self, figure1_graph):
-        from repro.graph.model import PropertyGraph
-
-        empty = PropertyGraph()
-        preprocessor = Preprocessor(PGHiveConfig(seed=2)).fit(figure1_graph)
-        features = preprocessor.node_features(empty)
-        outcome = cluster_features(features, PGHiveConfig(seed=2), "nodes")
+    def test_empty_features(self, batch):
+        empty = ElementBatch.from_elements([], [], batch.interner)
+        preprocessor = Preprocessor(PGHiveConfig(seed=2)).fit_batch(batch)
+        features = preprocessor.node_features_columnar(empty)
+        outcome = cluster_features_columnar(features, PGHiveConfig(seed=2), "nodes")
         assert outcome.clusters == []
         assert outcome.parameters is None
 
-    def test_member_property_keys_parallel_members(self, features):
+    def test_member_rows_parallel_members(self, features):
         node_features, _ = features
-        outcome = cluster_features(node_features, PGHiveConfig(seed=2), "nodes")
+        outcome = cluster_features_columnar(
+            node_features, PGHiveConfig(seed=2), "nodes"
+        )
+        ids = node_features.block.ids
         for cluster in outcome.clusters:
-            assert len(cluster.member_property_keys) == cluster.size
+            assert len(cluster.member_rows) == cluster.size
+            assert [ids[row] for row in cluster.member_rows] == cluster.member_ids
 
     def test_manual_overrides_respected(self, features):
         from repro.core.config import AdaptiveOverrides
@@ -90,6 +102,6 @@ class TestClusterFeatures:
         config = PGHiveConfig(
             seed=2, node_lsh=AdaptiveOverrides(bucket_length=5.0, num_tables=3)
         )
-        outcome = cluster_features(node_features, config, "nodes")
+        outcome = cluster_features_columnar(node_features, config, "nodes")
         assert outcome.parameters.bucket_length == 5.0
         assert outcome.parameters.num_tables == 3

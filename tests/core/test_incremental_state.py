@@ -84,6 +84,7 @@ class TestStatePersistence:
 
         pipeline = PGHive(config)
         from repro.core.pipeline import DiscoveryResult
+        from repro.graph.columnar import ElementBatch
         from repro.schema.model import SchemaGraph
         from repro.util import Timer
 
@@ -91,7 +92,9 @@ class TestStatePersistence:
         timer = Timer()
         result = DiscoveryResult(schema=schema, timer=timer, config=config)
         for batch in stream:
-            pipeline._process_batch(batch, schema, timer, result, None)
+            pipeline._process_batch_columnar(
+                ElementBatch.from_graph(batch), schema, timer, result, None
+            )
 
         assert {t.token for t in stateful.schema.node_types()} == {
             t.token for t in schema.node_types()

@@ -209,27 +209,26 @@ class TestUnionRetention:
         with pytest.raises(SchemaError):
             infer_datatypes_streaming(schema)
 
-    def test_edge_cluster_without_endpoints_invalidates_summaries(self):
-        # Property payloads alone are not enough for an edge type: missing
-        # endpoint payloads must invalidate (streaming read then raises)
-        # rather than silently reporting 0-degree cardinality bounds.
+    def test_edge_type_with_unfolded_history_invalidates_summaries(self):
+        # An edge type first recorded without accumulators must not grow
+        # summaries later: they would miss the first members' endpoints
+        # and report too-small cardinality bounds, so the streaming read
+        # raises instead.
         from repro.core.cardinality_inference import (
             compute_cardinalities_streaming,
         )
-        from repro.core.clustering import Cluster
         from repro.core.type_extraction import extract_types
         from repro.schema.model import SchemaGraph
 
-        cluster = Cluster(
-            member_ids=["e1", "e2"],
-            labels={"REL"},
-            property_keys={"w"},
-            member_property_keys=[frozenset({"w"})] * 2,
-            member_properties=[{"w": 1}, {"w": 2}],
-        )
+        from tests.core.test_type_extraction import edge_cluster
+
         schema = SchemaGraph()
-        extract_types(schema, [], [cluster])
+        first = edge_cluster(["e1"], {"REL"}, {"w"}, {"A"}, {"B"})
+        extract_types(schema, [], [first], summary_options=None)
+        second = edge_cluster(["e2"], {"REL"}, {"w"}, {"A"}, {"B"})
+        extract_types(schema, [], [second])
         (edge_type,) = schema.edge_types()
+        assert edge_type.instance_ids == {"e1", "e2"}
         assert edge_type.summaries is None
         with pytest.raises(SchemaError):
             compute_cardinalities_streaming(schema)

@@ -1,34 +1,52 @@
 """Unit tests for Algorithm 2 (type extraction and merging)."""
 
-from repro.core.clustering import Cluster
+from repro.core.clustering import ColumnarCluster
 from repro.core.type_extraction import (
     extract_edge_types,
     extract_node_types,
     extract_types,
 )
+from repro.graph.columnar import ElementBatch, Interner
+from repro.graph.model import Edge, Node
 from repro.schema.model import SchemaGraph
 
 
+def _cluster_of_all(block, interner) -> ColumnarCluster:
+    return ColumnarCluster(block, interner, list(range(len(block))))
+
+
 def node_cluster(member_ids, labels=(), keys=()):
-    keys = frozenset(keys)
-    return Cluster(
-        member_ids=list(member_ids),
-        labels=set(labels),
-        property_keys=set(keys),
-        member_property_keys=[keys] * len(member_ids),
-    )
+    """A node cluster whose members all carry ``labels`` and ``keys``."""
+    nodes = [
+        Node(member, frozenset(labels), {key: 1 for key in keys})
+        for member in member_ids
+    ]
+    batch = ElementBatch.from_elements(nodes, [], Interner())
+    return _cluster_of_all(batch.nodes, batch.interner)
 
 
 def edge_cluster(member_ids, labels=(), keys=(), sources=(), targets=()):
-    keys = frozenset(keys)
-    return Cluster(
-        member_ids=list(member_ids),
-        labels=set(labels),
-        property_keys=set(keys),
-        source_tokens=set(sources),
-        target_tokens=set(targets),
-        member_property_keys=[keys] * len(member_ids),
-    )
+    """An edge cluster; member ``i`` runs between the ``i``-th source and
+    target tokens (cycling), so the endpoint token sets are the unions of
+    ``sources`` and ``targets`` whenever there are enough members."""
+    sources, targets = sorted(sources) or [""], sorted(targets) or [""]
+    nodes = [
+        Node(f"{role}{token}", frozenset({token}) if token else frozenset())
+        for role, tokens in (("s:", sources), ("t:", targets))
+        for token in tokens
+    ]
+    edges = [
+        Edge(
+            member,
+            f"s:{sources[i % len(sources)]}",
+            f"t:{targets[i % len(targets)]}",
+            frozenset(labels),
+            {key: 1 for key in keys},
+        )
+        for i, member in enumerate(member_ids)
+    ]
+    batch = ElementBatch.from_elements(nodes, edges, Interner())
+    return _cluster_of_all(batch.edges, batch.interner)
 
 
 class TestLabeledNodeClusters:
@@ -175,7 +193,11 @@ class TestEdgeClusters:
             [
                 edge_cluster(["e1"], {"LOCATED_IN"}, (), {"Org."}, {"Place"}),
                 edge_cluster(
-                    ["e2"], {"LOCATED_IN"}, {"from"}, {"Org.", "Person"}, {"Place"}
+                    ["e2", "e3"],
+                    {"LOCATED_IN"},
+                    {"from"},
+                    {"Org.", "Person"},
+                    {"Place"},
                 ),
             ],
             theta=0.9,

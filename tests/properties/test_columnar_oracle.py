@@ -1,13 +1,26 @@
-"""Property-based equivalence: columnar ingest vs the element-wise oracle.
+"""Property-based oracle: the columnar layers vs a seed-semantics reference.
 
-The columnar fast path must be schema-fingerprint-identical to classic
-element-wise ingestion for every feed: same clusters, same types, same
-specs, datatypes, cardinalities, and candidate keys.  These tests drive
-interleaved insert/delete scripts through two sessions -- one fed
-:class:`ChangeSet` element inserts, one fed the same content as
-:class:`ElementBatch` payloads -- and compare fingerprints after every
-applied change-set, for both LSH families.  Round-trip and interner
-persistence tests pin the converter boundary and the checkpoint story.
+Discovery consumes only :class:`ElementBatch` inserts, so comparing two
+sessions would run the same code twice.  Instead, every insert of a
+random interleaved insert/delete script is pushed through each columnar
+layer and compared with the element-at-a-time restatement in
+``tests/seed_reference.py``:
+
+* corpus -- ``build_label_corpus_columnar`` vs ``build_label_corpus``;
+* vectors -- ``node_features_columnar`` / ``edge_features_columnar`` vs
+  per-element hybrid vectors (bit-identical);
+* partition -- ``cluster_features_columnar`` vs adaptive LSH over the
+  per-element vectors and per-element token sets (same clusters, same
+  order, same parameters);
+* recording -- ``ColumnarCluster.record_into`` vs per-member
+  ``record_instance`` plus per-cell ``TypeSummaries.observe`` folds, into
+  fresh types and into one long-lived type per kind (replays and
+  carried-over summaries included).
+
+A smaller end-to-end check pins the session boundary: element
+change-sets and the same content as columnar change-sets reach the same
+schema.  Round-trip and interner persistence tests pin the converter
+boundary and the checkpoint story.
 """
 
 import numpy as np
@@ -16,12 +29,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.columnar as columnar_module
+from repro.core.accumulators import SummaryOptions
+from repro.core.clustering import cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
+from repro.core.preprocess import Preprocessor
 from repro.core.session import SchemaSession
+from repro.embedding.corpus import build_label_corpus, build_label_corpus_columnar
 from repro.graph.changes import ChangeSet
 from repro.graph.columnar import ElementBatch, Interner
 from repro.graph.model import Edge, Node, PropertyGraph
-from repro.schema.model import schema_fingerprint
+from repro.lsh.base import GroupingRule
+from repro.schema.model import EdgeType, NodeType, schema_fingerprint
+
+from tests import seed_reference
 
 LABELS = ["Person", "Org", ""]
 KEYS = ["name", "age", "score", "flag"]
@@ -66,8 +86,8 @@ def interpret(ops):
 
     Mirrors the batch-stream convention every reader follows: an edge
     referencing a node from an earlier change-set ships a stub copy of
-    it, marked in ``stub_node_ids``, so identical change-sets feed both
-    the element-wise and the columnar session.
+    it, marked in ``stub_node_ids``, so every insert is endpoint-complete
+    on its own.
     """
     inserted_edges: list[str] = []
     live: dict[str, Node] = {}
@@ -131,55 +151,150 @@ def interpret(ops):
     return resolved
 
 
-def run_oracle(resolved, config):
-    """Drive element-wise and columnar sessions; compare every snapshot."""
-    element = SchemaSession(config, schema_name="oracle", retain_union=True)
-    columnar = SchemaSession(config, schema_name="oracle", retain_union=True)
-    for op in resolved:
-        if op[0] == "insert":
-            _, nodes, edges, stub_ids = op
-            element.apply(
-                ChangeSet(nodes=nodes, edges=edges, stub_node_ids=stub_ids)
-            )
-            columnar.apply(
-                ChangeSet(
-                    columnar=ElementBatch.from_elements(nodes, edges),
-                    stub_node_ids=stub_ids,
-                )
-            )
-        elif op[0] == "del_nodes":
-            element.apply(ChangeSet.deletions(nodes=op[1]))
-            columnar.apply(ChangeSet.deletions(nodes=op[1]))
-        else:
-            element.apply(ChangeSet.deletions(edges=op[1]))
-            columnar.apply(ChangeSet.deletions(edges=op[1]))
-        assert schema_fingerprint(element.schema()) == schema_fingerprint(
-            columnar.schema()
-        )
+CONFIGS = {
+    "minhash-and": PGHiveConfig(method=ClusteringMethod.MINHASH, seed=5),
+    "minhash-or": PGHiveConfig(
+        method=ClusteringMethod.MINHASH, seed=5, grouping_rule=GroupingRule.OR
+    ),
+    "elsh-and": PGHiveConfig(method=ClusteringMethod.ELSH, seed=5),
+}
+OPTIONS = [
+    None,
+    SummaryOptions(),
+    SummaryOptions(track_keys=True),
+    SummaryOptions(track_keys=True, pair_cap=1),
+]
 
 
-class TestColumnarMatchesElementOracle:
-    @given(ops=operation_scripts())
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+def _check_kind(kind, features, elements, node_of, state, config, options, stubs):
+    """Vectors, partition and recording of one element kind of one batch."""
+    model = state["preprocessor"].model
+    if kind == "nodes":
+        expected = seed_reference.node_vectors(model, elements, config)
+        token_sets = [seed_reference.node_token_set(n) for n in elements]
+    else:
+        expected = seed_reference.edge_vectors(model, elements, node_of, config)
+        token_sets = [seed_reference.edge_token_set(e, node_of) for e in elements]
+    assert np.array_equal(features.vectors, expected)
+
+    outcome = cluster_features_columnar(
+        features, config, kind, state["minhash_cache"]
     )
-    def test_minhash_interleaved_feed(self, ops):
-        config = PGHiveConfig(
-            method=ClusteringMethod.MINHASH, seed=5, infer_keys=True
-        )
-        run_oracle(interpret(ops), config)
+    labels = {label for element in elements for label in element.labels}
+    groups, parameters = seed_reference.partition(
+        expected, token_sets, len(labels), config, kind
+    )
+    assert [cluster.member_rows for cluster in outcome.clusters] == groups
+    assert outcome.parameters == parameters
 
+    make_type = NodeType if kind == "nodes" else EdgeType
+    for cluster in outcome.clusters:
+        members = [elements[row] for row in cluster.member_rows]
+        fresh = make_type("t", set(cluster.labels))
+        reference = make_type("t", set(cluster.labels))
+        cluster.record_into(fresh, options, stubs)
+        seed_reference.record(reference, members, options, stubs)
+        assert seed_reference.type_state(fresh) == seed_reference.type_state(
+            reference
+        )
+        # One long-lived type per kind: replays, carried-over summaries.
+        longlived, longlived_reference = state[kind]
+        cluster.record_into(longlived, options)
+        seed_reference.record(longlived_reference, members, options)
+        assert seed_reference.type_state(
+            longlived
+        ) == seed_reference.type_state(longlived_reference)
+
+
+def run_layer_oracle(resolved, config, options):
+    """Compare every columnar layer with the reference, insert by insert."""
+    interner = Interner()
+    state = {
+        "preprocessor": None,
+        "minhash_cache": {},
+        "nodes": (NodeType("n", set()), NodeType("n", set())),
+        "edges": (EdgeType("e", set()), EdgeType("e", set())),
+    }
+    for op in resolved:
+        if op[0] != "insert":
+            continue
+        _, nodes, edges, stubs = op
+        batch = ElementBatch.from_elements(nodes, edges, interner)
+        assert batch.nodes.ids == [node.node_id for node in nodes]
+        assert batch.edges.ids == [edge.edge_id for edge in edges]
+        graph = PropertyGraph("reference")
+        for node in nodes:
+            graph.add_node(node)
+        for edge in edges:
+            graph.add_edge(edge)
+        assert build_label_corpus_columnar(batch, seed=3) == build_label_corpus(
+            graph, seed=3
+        )
+        if state["preprocessor"] is None:
+            state["preprocessor"] = Preprocessor(config).fit_batch(batch)
+        preprocessor = state["preprocessor"]
+        node_of = {node.node_id: node for node in nodes}
+        _check_kind(
+            "nodes", preprocessor.node_features_columnar(batch), nodes,
+            node_of, state, config, options, stubs,
+        )
+        _check_kind(
+            "edges", preprocessor.edge_features_columnar(batch), edges,
+            node_of, state, config, options, frozenset(),
+        )
+
+
+class TestColumnarLayersMatchSeedReference:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @given(ops=operation_scripts(), option_index=st.integers(0, len(OPTIONS) - 1))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    def test_layers_match_reference(self, name, ops, option_index):
+        run_layer_oracle(interpret(ops), CONFIGS[name], OPTIONS[option_index])
+
+
+class TestSessionBoundary:
     @given(ops=operation_scripts())
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_elsh_interleaved_feed(self, ops):
-        config = PGHiveConfig(method=ClusteringMethod.ELSH, seed=5)
-        run_oracle(interpret(ops), config)
+    def test_element_and_columnar_changesets_agree(self, ops):
+        config = PGHiveConfig(
+            method=ClusteringMethod.MINHASH, seed=5, infer_keys=True
+        )
+        element = SchemaSession(config, schema_name="oracle", retain_union=True)
+        columnar = SchemaSession(config, schema_name="oracle", retain_union=True)
+        for op in interpret(ops):
+            if op[0] == "insert":
+                _, nodes, edges, stub_ids = op
+                element.apply(
+                    ChangeSet(nodes=nodes, edges=edges, stub_node_ids=stub_ids)
+                )
+                columnar.apply(
+                    ChangeSet(
+                        columnar=ElementBatch.from_elements(nodes, edges),
+                        stub_node_ids=stub_ids,
+                    )
+                )
+            else:
+                deletions = (
+                    ChangeSet.deletions(nodes=op[1])
+                    if op[0] == "del_nodes"
+                    else ChangeSet.deletions(edges=op[1])
+                )
+                element.apply(deletions)
+                columnar.apply(deletions)
+            assert schema_fingerprint(element.schema()) == schema_fingerprint(
+                columnar.schema()
+            )
 
 
 def sample_elements():

@@ -2,19 +2,26 @@
 
 Content-addressable dedup (`structural_dedup`) routes rows whose element
 signature was seen in a prior batch through per-signature repeat
-clusters instead of the full preprocess/LSH/extract pipeline.  It is an
-*exact* optimisation: for random interleaved insert/delete columnar
-feeds -- drawn repeat-heavy, because that is the regime the fast path
-actually fires in -- the discovered schema must be fingerprint-identical
-with dedup on and off, at every tested shard count, and across durable
+clusters instead of the full preprocess/LSH/extract pipeline.  For
+random interleaved insert/delete columnar feeds of labelled elements --
+drawn repeat-heavy, because that is the regime the fast path actually
+fires in -- the discovered schema must be fingerprint-identical with
+dedup on and off, at every tested shard count, and across durable
 checkpoint/restore and WAL crash-replay (which must also round-trip the
 signature store's refcounts exactly).
+
+Dedup is *not* exact in general: on unlabeled, noisy incremental
+streams the repeat split changes which rows ``adapt_parameters``
+samples, the cluster boundaries and the cluster order, and unlabeled
+Algorithm 2 absorption is sensitive to all three.  A measured
+counterexample is pinned below as a strict xfail, so a fix flips it.
 
 The generators keep every edge's endpoints inside its own change-set,
 so feeds are endpoint-complete without stub shipping; stub interactions
 with dedup refcounts are pinned separately in the sharding suite.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +29,11 @@ from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.recovery import DurableSchemaSession
 from repro.core.session import SchemaSession
 from repro.core.sharding import ShardedSchemaSession
+from repro.datasets.noise import apply_noise
+from repro.datasets.registry import load_dataset
+from repro.graph.batching import split_into_batches
 from repro.graph.changes import ChangeSet
-from repro.graph.columnar import BatchBuilder, global_interner
+from repro.graph.columnar import BatchBuilder, ElementBatch, global_interner
 from repro.schema.model import schema_fingerprint
 
 SHARD_COUNTS = (1, 2, 4)
@@ -188,6 +198,32 @@ class TestDedupMatchesNoDedup:
         # Both sessions maintain refcounts (the store also serves WAL
         # compaction); the split being on or off must not change them.
         assert refcounts == off._dstate.signatures.refcounts
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="repeat split moves unlabeled Algorithm 2 merges: "
+        "267 node types with dedup, 265 without",
+    )
+    def test_unlabeled_noisy_incremental_stream(self):
+        graph = apply_noise(
+            load_dataset("ICIJ", nodes=1500, seed=3), 0.2, 0.0, seed=7
+        ).graph
+        fingerprints = []
+        for dedup in (True, False):
+            session = SchemaSession(
+                PGHiveConfig(
+                    method=ClusteringMethod.MINHASH,
+                    seed=11,
+                    structural_dedup=dedup,
+                )
+            )
+            for batch in split_into_batches(graph, 5, seed=1):
+                session.apply(
+                    ChangeSet.inserts_columnar(ElementBatch.from_graph(batch))
+                )
+            fingerprints.append(schema_fingerprint(session.schema()))
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestDedupSurvivesRecovery:

@@ -11,16 +11,11 @@ count, through ``apply`` lockstep and through the pipelined
 across a checkpoint/restore mid-stream.  Every test also asserts the
 block registry and ``/dev/shm`` are clean afterwards: a fingerprint
 match that leaks segments is still a failure.
-
-The compiled MinHash kernel rides along at the bottom: when numba is
-installed the jitted kernel must be bit-identical to the numpy path
-(it feeds the same fingerprints, so "close" is not good enough).
 """
 
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -29,16 +24,9 @@ from repro.core.faults import FaultInjector
 from repro.core.session import SchemaSession
 from repro.core.sharding import ShardedSchemaSession
 from repro.core.shm import SHM_NAME_PREFIX, global_registry, shm_available
-from repro.errors import ConfigurationError, DegradedModeWarning
+from repro.errors import DegradedModeWarning
 from repro.graph.changes import ChangeSet
 from repro.graph.columnar import BatchBuilder, global_interner
-from repro.lsh.minhash import (
-    MinHashLSH,
-    active_minhash_kernel,
-    configure_minhash_kernel,
-    numba_available,
-    scalar_signature,
-)
 from repro.schema.model import schema_fingerprint
 
 from tests.properties.test_sharding_oracle import (
@@ -246,44 +234,3 @@ class TestShmCheckpointRecovery:
             resumed.close()
         assert_no_leaked_blocks()
 
-
-class TestMinHashKernel:
-    def test_active_kernel_matches_availability(self):
-        expected = "numba" if numba_available() else "numpy"
-        assert active_minhash_kernel() == expected
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed; forcing it succeeds"
-    )
-    def test_forcing_numba_without_numba_raises(self):
-        with pytest.raises(ConfigurationError, match="numba"):
-            configure_minhash_kernel("numba")
-        assert active_minhash_kernel() == "numpy"
-
-    @pytest.mark.skipif(
-        not numba_available(),
-        reason="numba not installed; compiled kernel unavailable "
-        "(numpy fallback is exercised by every other test)",
-    )
-    def test_numba_kernel_bit_identical_to_numpy(self):
-        rng = np.random.default_rng(11)
-        token_sets = [
-            {f"tok{value}" for value in rng.integers(0, 5000, size=size)}
-            for size in (0, 1, 3, 17, 64, 200)
-        ]
-        # Fresh instances per kernel: signature() memoizes per instance,
-        # so reusing one would compare a cache hit against itself.
-        try:
-            assert configure_minhash_kernel("numpy") == "numpy"
-            lsh_numpy = MinHashLSH(num_tables=64, band_size=2, seed=23)
-            numpy_sigs = [lsh_numpy.signature(t) for t in token_sets]
-            assert configure_minhash_kernel("numba") == "numba"
-            lsh_numba = MinHashLSH(num_tables=64, band_size=2, seed=23)
-            numba_sigs = [lsh_numba.signature(t) for t in token_sets]
-        finally:
-            configure_minhash_kernel("auto")
-        for tokens, left, right in zip(token_sets, numpy_sigs, numba_sigs):
-            np.testing.assert_array_equal(left, right)
-            np.testing.assert_array_equal(
-                right, scalar_signature(lsh_numpy, tokens)
-            )
