@@ -7,6 +7,7 @@ Rule ids are stable API (suppression comments reference them):
 * ``PGL201`` state-completeness contracts (merge/checkpoint/fingerprint)
 * ``PGL301`` element materialisation on the columnar hot path
 * ``PGL302`` per-row Python loops over value columns on the hot path
+* ``PGL303`` ``searchsorted`` calls inside loops or comprehensions
 * ``PGL401`` unpicklable callables submitted to process pools
 * ``PGL501`` mutable default arguments
 * ``PGL502`` accumulator ``merge_from``/``copy``/``observe*`` drift
@@ -48,6 +49,7 @@ from repro.analysis.rules.exception_safety import (
 from repro.analysis.rules.hotpath import (
     ColumnLoopRule,
     ElementMaterialisationRule,
+    SearchsortedLoopRule,
 )
 from repro.analysis.rules.state_completeness import StateCompletenessRule
 
@@ -60,6 +62,7 @@ def all_rules() -> list[Rule]:
         StateCompletenessRule(),
         ElementMaterialisationRule(),
         ColumnLoopRule(),
+        SearchsortedLoopRule(),
         ProcessPoolSubmissionRule(),
         MutableDefaultRule(),
         AccumulatorSignatureRule(),
@@ -91,6 +94,7 @@ __all__ = [
     "PartialMutationRule",
     "ProcessPoolSubmissionRule",
     "RenameFsyncRule",
+    "SearchsortedLoopRule",
     "SharedMemoryLifecycleRule",
     "SharedStateMutationRule",
     "StateCompletenessRule",

@@ -16,6 +16,12 @@ converters ``to_elements()`` / ``to_property_graph()`` /
 comprehension whose iterable reaches into ``<block>.columns[...]``
 (the sanctioned access is vectorised ``ValueColumn.take(rows)`` feeding
 ``observe_column``-family accumulators).
+
+``PGL303`` -- a ``searchsorted`` call inside a loop or comprehension,
+anywhere under ``src/repro/``.  One binary search per row or cell is
+the lookup that once made WAL encoding cost more than discovery itself;
+row-major readers use the block's cached ``value_rows`` view, and
+row-group readers a position index built once (``ValueColumn.take``).
 """
 
 from __future__ import annotations
@@ -135,3 +141,72 @@ class ColumnLoopRule(Rule):
             ):
                 return node
         return None
+
+
+#: Comprehension node types (their first iterable is evaluated once).
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+#: Statements and expressions whose body runs once per iteration.
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, *_COMPREHENSIONS)
+#: Scopes whose bodies do not run per iteration of an enclosing loop.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class SearchsortedLoopRule(Rule):
+    """PGL303: ``searchsorted`` called once per loop iteration."""
+
+    rule_id = "PGL303"
+    name = "per-row-searchsorted"
+    description = (
+        "searchsorted call inside a for/while loop or comprehension (read "
+        "the block's cached row view or build a position index once)"
+    )
+    default_scope = ("src/repro/",)
+
+    def check_module(self, ctx: ModuleContext) -> Iterable[Diagnostic]:
+        for node, qualname in self._looped_calls(ctx.tree, "", False):
+            yield ctx.diagnostic(
+                node,
+                self.rule_id,
+                f"searchsorted inside a loop in {qualname or '<module>'}: "
+                "one binary search per row keeps row-major reads "
+                "row-proportional in numpy round-trips; read the block's "
+                "value_rows view or build a position index once",
+            )
+
+    def _looped_calls(
+        self, node: ast.AST, qualname: str, in_loop: bool
+    ) -> Iterable[tuple[ast.Call, str]]:
+        """``searchsorted`` calls evaluated once per loop iteration."""
+        if isinstance(node, _SCOPES):
+            qualname = f"{qualname}.{node.name}" if qualname else node.name
+            for child in node.body:
+                yield from self._looped_calls(child, qualname, False)
+            return
+        if (
+            in_loop
+            and isinstance(node, ast.Call)
+            and call_name(node) == "searchsorted"
+        ):
+            yield node, qualname
+        once: tuple[ast.AST, ...] = ()
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            once = (node.iter, *node.orelse)
+        elif isinstance(node, ast.While):
+            once = tuple(node.orelse)
+        elif isinstance(node, _COMPREHENSIONS):
+            # Unpack the generator clauses: only the outermost iterable
+            # is evaluated once, before the first iteration.
+            first = node.generators[0]
+            once = (first.iter,)
+            children = [
+                child
+                for child in children
+                if not isinstance(child, ast.comprehension)
+            ]
+            for generator in node.generators:
+                children.extend(ast.iter_child_nodes(generator))
+        looping = isinstance(node, _LOOPS)
+        for child in children:
+            child_in_loop = in_loop or (looping and child not in once)
+            yield from self._looped_calls(child, qualname, child_in_loop)

@@ -405,8 +405,10 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
     """A :class:`ShardedSchemaSession` with a parent-level WAL.
 
     Change-sets are logged once, *before* partitioning, in the parent
-    process; workers never touch the log.  Checkpoints are manifest
-    directories ``checkpoint-<sequence>/`` under the session directory.
+    process -- whether they arrive through :meth:`apply` or a pipelined
+    :meth:`ingest_stream` -- and workers never touch the log.
+    Checkpoints are manifest directories ``checkpoint-<sequence>/``
+    under the session directory.
     Worker deaths are handled by the base class's retry/degrade
     machinery; this class adds whole-process crash recovery on top.
     """
@@ -483,6 +485,21 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
             _KIND_CHANGESET,
             change_set,
             lambda: super(DurableShardedSchemaSession, self).apply(change_set),
+        )
+
+    def _stage_pipelined(self, change_set: ChangeSet):
+        # Parallel ingest_stream stages change-sets here rather than
+        # through apply; log each one before it is staged, exactly as
+        # apply does, so the pipelined feed is as durable as lockstep.
+        if self._replaying:
+            return super()._stage_pipelined(change_set)
+        return _logged_apply(
+            self,
+            _KIND_CHANGESET,
+            change_set,
+            lambda: super(
+                DurableShardedSchemaSession, self
+            )._stage_pipelined(change_set),
         )
 
     # ------------------------------------------------------------------

@@ -860,15 +860,7 @@ class ShardedSchemaSession:
                     )
                 ):
                     reports.append(self._finish_pipelined(*window.popleft()))
-                prepared = self._prepare(change_set)
-                start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
-                try:
-                    inflight = self._submit_parts(prepared.parts)
-                except Exception:
-                    self._rollback(prepared)
-                    raise
-                sequence = self._commit_coordinator(prepared)
-                window.append((prepared, sequence, inflight, start))
+                window.append(self._stage_pipelined(change_set))
             while window:
                 reports.append(self._finish_pipelined(*window.popleft()))
         except BaseException:
@@ -882,6 +874,25 @@ class ShardedSchemaSession:
                     pass
             raise
         return reports
+
+    def _stage_pipelined(
+        self, change_set: ChangeSet
+    ) -> tuple[_PreparedChange, int, _InflightDispatch, float]:
+        """Stage, submit and commit one change-set of a pipelined feed.
+
+        Coordinator effects commit at submission, so a rejection here
+        (staging or submission) rolls back and leaves the stream
+        position where it was.
+        """
+        prepared = self._prepare(change_set)
+        start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
+        try:
+            inflight = self._submit_parts(prepared.parts)
+        except Exception:
+            self._rollback(prepared)
+            raise
+        sequence = self._commit_coordinator(prepared)
+        return prepared, sequence, inflight, start
 
     def _finish_pipelined(
         self,

@@ -53,11 +53,7 @@ if TYPE_CHECKING:
 #: distinct structure, not once per row) and deflate-compresses the
 #: pickled record, shrinking the WAL sharply on repeat-heavy feeds.
 WIRE_VERSION = 2
-#: Older wire versions :meth:`ChangeSet.from_wire` still decodes.
-WIRE_LEGACY_VERSIONS = (1,)
-#: Frame prefix of a version-2 record.  Version-1 records are raw
-#: pickles, which always begin with the pickle PROTO opcode ``b"\x80"``,
-#: so the first byte disambiguates the two framings.
+#: Frame prefix of a version-2 record (the only framing this build reads).
 _WIRE_V2_PREFIX = b"\x02"
 
 
@@ -198,10 +194,10 @@ class ChangeSet:
             interner = batch.interner
             record["kind"] = "columnar"
             record["node_groups"] = _group_rows(
-                batch, interner, batch.nodes, edges=False
+                interner, batch.nodes, edges=False
             )
             record["edge_groups"] = _group_rows(
-                batch, interner, batch.edges, edges=True
+                interner, batch.edges, edges=True
             )
         else:
             # Primitive tuples, not Node/Edge objects: dataclass pickling
@@ -226,28 +222,28 @@ class ChangeSet:
     ) -> "ChangeSet":
         """Decode :meth:`to_wire` output (see its docstring for caveats).
 
-        Reads the current wire version and every version in
-        ``WIRE_LEGACY_VERSIONS`` (v1 WAL segments written before the
-        structure-grouped encoding stay replayable).  Columnar payloads
-        rebuild against ``interner`` (the process-wide one by default).
-        Only decode records from trusted sources: the payload is a
-        pickle.
+        Only version-2 frames decode; anything else raises
+        :class:`WALError`.  Columnar payloads rebuild against
+        ``interner`` (the process-wide one by default).  Only decode
+        records from trusted sources: the payload is a pickle.
         """
+        if data[:1] != _WIRE_V2_PREFIX:
+            raise WALError(
+                "undecodable change-set wire record: not a version-"
+                f"{WIRE_VERSION} frame (this build reads wire version "
+                f"{WIRE_VERSION} only)"
+            )
         try:
-            if data[:1] == _WIRE_V2_PREFIX:
-                record = pickle.loads(zlib.decompress(data[1:]))
-            else:
-                record = pickle.loads(data)
+            record = pickle.loads(zlib.decompress(data[1:]))
         except Exception as error:
             raise WALError(
                 f"undecodable change-set wire record: {error}"
             ) from error
         version = record.get("version") if isinstance(record, dict) else None
-        if version != WIRE_VERSION and version not in WIRE_LEGACY_VERSIONS:
+        if version != WIRE_VERSION:
             raise WALError(
                 f"unsupported change-set wire version {version!r} "
-                f"(this build reads versions "
-                f"{(*WIRE_LEGACY_VERSIONS, WIRE_VERSION)})"
+                f"(this build reads version {WIRE_VERSION})"
             )
         stubs = frozenset(record["stubs"])
         if record["kind"] == "columnar":
@@ -255,45 +251,21 @@ class ChangeSet:
 
             builder = BatchBuilder(interner or global_interner())
             target = builder.interner
-            if version == 1:
-                for node_id, labels, keys, values in record["node_rows"]:
+            for labels, keys, rows in record["node_groups"]:
+                labelset_id = target.intern_labels(labels)
+                keyset_id = target.intern_keys(keys)
+                for node_id, values in rows:
                     builder.add_node(
-                        node_id,
-                        target.intern_labels(labels),
-                        target.intern_keys(keys),
-                        tuple(values),
+                        node_id, labelset_id, keyset_id, tuple(values)
                     )
-                for edge_id, src, tgt, labels, keys, values in record[
-                    "edge_rows"
-                ]:
+            for labels, keys, rows in record["edge_groups"]:
+                labelset_id = target.intern_labels(labels)
+                keyset_id = target.intern_keys(keys)
+                for edge_id, src, tgt, values in rows:
                     builder.add_edge(
-                        edge_id,
-                        src,
-                        tgt,
-                        target.intern_labels(labels),
-                        target.intern_keys(keys),
+                        edge_id, src, tgt, labelset_id, keyset_id,
                         tuple(values),
                     )
-            else:
-                for labels, keys, rows in record["node_groups"]:
-                    labelset_id = target.intern_labels(labels)
-                    keyset_id = target.intern_keys(keys)
-                    for node_id, values in rows:
-                        builder.add_node(
-                            node_id, labelset_id, keyset_id, tuple(values)
-                        )
-                for labels, keys, rows in record["edge_groups"]:
-                    labelset_id = target.intern_labels(labels)
-                    keyset_id = target.intern_keys(keys)
-                    for edge_id, src, tgt, values in rows:
-                        builder.add_edge(
-                            edge_id,
-                            src,
-                            tgt,
-                            labelset_id,
-                            keyset_id,
-                            tuple(values),
-                        )
             return cls(
                 delete_nodes=list(record["delete_nodes"]),
                 delete_edges=list(record["delete_edges"]),
@@ -315,7 +287,7 @@ class ChangeSet:
         )
 
 
-def _group_rows(batch, interner, block, edges: bool) -> list:
+def _group_rows(interner, block, edges: bool) -> list:
     """Structure-grouped wire form of one columnar block.
 
     One entry per distinct (labels, keys) structure, in first-occurrence
@@ -325,15 +297,20 @@ def _group_rows(batch, interner, block, edges: bool) -> list:
     label set <-> one token), so the decoder's group-major rebuild
     preserves both within-pattern row order and across-pattern
     first-occurrence order -- everything batch processing is sensitive
-    to.
+    to.  Values come from the block's cached row view
+    (:attr:`~repro.graph.columnar.ColumnarElements.value_rows`).
     """
     groups: dict[tuple[int, int], list] = {}
     ordered: list[tuple] = []
-    labelset_list = block.labelset_list
-    keyset_list = block.keyset_list
-    ids = block.ids
-    for row in range(len(block)):
-        structure = (labelset_list[row], keyset_list[row])
+    if edges:
+        payloads = zip(
+            block.ids, block.source_ids, block.target_ids, block.value_rows
+        )
+    else:
+        payloads = zip(block.ids, block.value_rows)
+    for structure, payload in zip(
+        zip(block.labelset_list, block.keyset_list), payloads
+    ):
         rows = groups.get(structure)
         if rows is None:
             rows = groups[structure] = []
@@ -344,12 +321,7 @@ def _group_rows(batch, interner, block, edges: bool) -> list:
                     rows,
                 )
             )
-        if edges:
-            src, tgt, _, _, values = batch.edge_record(row)
-            rows.append((ids[row], src, tgt, tuple(values)))
-        else:
-            _, _, values = batch.node_record(row)
-            rows.append((ids[row], tuple(values)))
+        rows.append(payload)
     return ordered
 
 

@@ -49,6 +49,7 @@ its stub registry by content, not by id).
 from __future__ import annotations
 
 import threading
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from hashlib import blake2b
 from typing import TYPE_CHECKING
@@ -81,13 +82,12 @@ class LabelSet:
 class KeySet:
     """One interned property-key set (keys sorted, frozenset cached)."""
 
-    __slots__ = ("keyset_id", "keys", "frozen", "index_of")
+    __slots__ = ("keyset_id", "keys", "frozen")
 
     def __init__(self, keyset_id: int, keys: tuple[str, ...]) -> None:
         self.keyset_id = keyset_id
         self.keys = keys
         self.frozen = frozenset(keys)
-        self.index_of = {key: position for position, key in enumerate(keys)}
 
 
 class TokenPattern:
@@ -722,6 +722,7 @@ class ColumnarElements:
         "_src_token_list",
         "_tgt_token_list",
         "_signature_list",
+        "_value_rows",
     )
 
     def __init__(
@@ -754,6 +755,7 @@ class ColumnarElements:
         self._src_token_list: list[int] | None = None
         self._tgt_token_list: list[int] | None = None
         self._signature_list: list[int] | None = None
+        self._value_rows: list[tuple] | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -801,6 +803,37 @@ class ColumnarElements:
         cached = self._signature_list
         if cached is None:
             cached = self._signature_list = self.signature_ids.tolist()
+        return cached
+
+    @property
+    def value_rows(self) -> list[tuple]:
+        """Per-row value tuples aligned with each row's key set (lazy).
+
+        The row-major view of ``columns``, built by one pass over the
+        columns in sorted key order.  Key sets are interned sorted, so
+        ``value_rows[row]`` lines up with
+        ``interner.keyset(keyset_list[row]).keys``.  Every row-major
+        reader (WAL encoding, record shipping, element materialisation)
+        shares this one view instead of looking cells up per row.
+        """
+        cached = self._value_rows
+        if cached is None:
+            gathered: list[list] = [[] for _ in range(len(self.ids))]
+            row_values = gathered.__getitem__
+            # Drive the per-cell appends from C (map + a zero-length
+            # deque as the consumer): no bytecode runs per cell.
+            consume = deque(maxlen=0).extend
+            columns = self.columns
+            for key in sorted(columns):
+                column = columns[key]
+                consume(
+                    map(
+                        list.append,
+                        map(row_values, column.rows.tolist()),
+                        column.values.tolist(),
+                    )
+                )
+            cached = self._value_rows = list(map(tuple, gathered))
         return cached
 
 
@@ -893,47 +926,34 @@ class ElementBatch:
         return cls.from_elements(graph.nodes(), graph.edges(), interner)
 
     def _properties_per_row(self, block: ColumnarElements) -> list[dict]:
-        properties: list[dict] = [{} for _ in range(len(block))]
         keysets = self.interner._keysets
-        order: list[list[tuple[int, object]]] = [
-            [] for _ in range(len(block))
+        return [
+            dict(zip(keysets[keyset_id].keys, values))
+            for keyset_id, values in zip(block.keyset_list, block.value_rows)
         ]
-        for key, column in block.columns.items():
-            for row, value in zip(column.rows.tolist(), column.values.tolist()):
-                order[row].append((keysets[int(block.keyset_ids[row])].index_of[key], value))
-        for row, pairs in enumerate(order):
-            keyset = keysets[int(block.keyset_ids[row])]
-            pairs.sort()
-            properties[row] = {
-                keyset.keys[position]: value for position, value in pairs
-            }
-        return properties
 
     def to_elements(self) -> tuple[list[Node], list[Edge]]:
         """Materialise dataclass elements (the slow oracle direction)."""
         interner = self.interner
         node_props = self._properties_per_row(self.nodes)
         nodes = [
-            Node(
-                node_id,
-                interner.labelset(int(lid)).labels,
-                node_props[row],
-            )
-            for row, (node_id, lid) in enumerate(
-                zip(self.nodes.ids, self.nodes.labelset_ids.tolist())
+            Node(node_id, interner.labelset(lid).labels, properties)
+            for node_id, lid, properties in zip(
+                self.nodes.ids, self.nodes.labelset_list, node_props
             )
         ]
-        edge_props = self._properties_per_row(self.edges)
+        edge_block = self.edges
         edges = [
             Edge(
-                edge_id,
-                self.edges.source_ids[row],
-                self.edges.target_ids[row],
-                interner.labelset(int(lid)).labels,
-                edge_props[row],
+                edge_id, source_id, target_id,
+                interner.labelset(lid).labels, properties,
             )
-            for row, (edge_id, lid) in enumerate(
-                zip(self.edges.ids, self.edges.labelset_ids.tolist())
+            for edge_id, source_id, target_id, lid, properties in zip(
+                edge_block.ids,
+                edge_block.source_ids,
+                edge_block.target_ids,
+                edge_block.labelset_list,
+                self._properties_per_row(edge_block),
             )
         ]
         return nodes, edges
@@ -952,31 +972,24 @@ class ElementBatch:
     # ------------------------------------------------------------------
     # Row records (stub shipping / partitioning)
     # ------------------------------------------------------------------
-    def _row_values(self, block: ColumnarElements, row: int) -> tuple:
-        keyset = self.interner.keyset(int(block.keyset_ids[row]))
-        return tuple(
-            block.columns[key].values[
-                int(np.searchsorted(block.columns[key].rows, row))
-            ]
-            for key in keyset.keys
-        )
-
     def node_record(self, row: int) -> tuple[int, int, tuple]:
         """Compact ``(labelset_id, keyset_id, values)`` record of one node."""
+        nodes = self.nodes
         return (
-            int(self.nodes.labelset_ids[row]),
-            int(self.nodes.keyset_ids[row]),
-            self._row_values(self.nodes, row),
+            nodes.labelset_list[row],
+            nodes.keyset_list[row],
+            nodes.value_rows[row],
         )
 
     def edge_record(self, row: int) -> tuple[str, str, int, int, tuple]:
         """Compact ``(src, tgt, labelset_id, keyset_id, values)`` record."""
+        edges = self.edges
         return (
-            self.edges.source_ids[row],
-            self.edges.target_ids[row],
-            int(self.edges.labelset_ids[row]),
-            int(self.edges.keyset_ids[row]),
-            self._row_values(self.edges, row),
+            edges.source_ids[row],
+            edges.target_ids[row],
+            edges.labelset_list[row],
+            edges.keyset_list[row],
+            edges.value_rows[row],
         )
 
 

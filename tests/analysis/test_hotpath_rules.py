@@ -1,14 +1,19 @@
-"""PGL301/PGL302 fire inside hot-path functions only."""
+"""PGL301/PGL302 fire inside hot-path functions only; PGL303 in loops."""
 
 from repro.analysis.rules.hotpath import (
     ColumnLoopRule,
     ElementMaterialisationRule,
+    SearchsortedLoopRule,
     is_hot_function,
 )
 
 from tests.analysis.conftest import assert_fixture
 
-RULES = [ElementMaterialisationRule(scope=()), ColumnLoopRule(scope=())]
+RULES = [
+    ElementMaterialisationRule(scope=()),
+    ColumnLoopRule(scope=()),
+    SearchsortedLoopRule(scope=()),
+]
 
 
 def test_fires_on_hot_path_violations():

@@ -2,7 +2,7 @@
 
 Fixture files prove the rules *can* fire; these tests prove they fire on
 the production modules they exist to protect.  Each test copies the real
-source (``durability.py``, ``recovery.py``, ``columnar.py``) into a temp
+source (``durability.py``, ``recovery.py``, ``columnar.py``, ...) into a temp
 tree, surgically reintroduces a bug class this codebase has actually
 shipped and fixed, and asserts the matching rule flags exactly the
 mutated protocol -- while the *unmutated* copy stays clean under the
@@ -24,6 +24,7 @@ from repro.analysis.rules.exception_safety import (
     ResourceLifecycleRule,
     SharedMemoryLifecycleRule,
 )
+from repro.analysis.rules.hotpath import SearchsortedLoopRule
 
 from tests.analysis.conftest import REPO_ROOT, run_rules
 
@@ -174,3 +175,31 @@ def test_unlocked_interner_mutation_fires_pgl901(tmp_path):
     assert any(
         abs(line - mutation_line) <= 5 for line, _ in fired
     ), f"diagnostics {fired} do not anchor in the mutated slow path"
+
+
+def test_reinserting_per_cell_searchsorted_fires_pgl303(tmp_path):
+    rule = SearchsortedLoopRule(scope=())
+    original = GRAPH / "columnar.py"
+    assert run_rules([rule], original) == set()
+
+    # Bring back the per-cell value lookup the row view replaced: one
+    # binary search per (row, key), called for every WAL-encoded row.
+    anchor = "    def node_record(self, row: int) -> tuple[int, int, tuple]:\n"
+    target, mutated = _mutate(
+        tmp_path,
+        original,
+        anchor,
+        "    def _row_values(self, block, row: int) -> tuple:\n"
+        "        keyset = self.interner.keyset(int(block.keyset_ids[row]))\n"
+        "        return tuple(\n"
+        "            block.columns[key].values[\n"
+        "                int(np.searchsorted(block.columns[key].rows, row))\n"
+        "            ]\n"
+        "            for key in keyset.keys\n"
+        "        )\n"
+        "\n" + anchor,
+    )
+    fired = run_rules([rule], target)
+    assert fired == {
+        (_line_of(mutated, "np.searchsorted(block.columns"), "PGL303")
+    }

@@ -7,6 +7,8 @@ checkpoints fall back to older ones; only when *every* checkpoint fails
 does recovery raise (never a silent restart from scratch).
 """
 
+import shutil
+
 import pytest
 
 from repro.core.config import PGHiveConfig
@@ -545,6 +547,64 @@ class TestDurableShardedSession:
             )
         finally:
             recovered.close()
+
+    def test_parallel_ingest_stream_logs_every_change_set(self, tmp_path):
+        """The pipelined feed is as durable as lockstep ``apply``."""
+        feed = change_feed()[:4]
+        directory = tmp_path / "stream"
+        session = DurableShardedSchemaSession(
+            directory,
+            CONFIG,
+            schema_name="s",
+            n_shards=2,
+            parallel=True,
+            fsync="off",
+            retain_union=True,
+        )
+        try:
+            reports = session.ingest_stream(feed)
+            assert [report.sequence for report in reports] == [1, 2, 3, 4]
+            assert session.sequence == 4
+            assert session.wal.last_sequence == 4
+            uncrashed = schema_fingerprint(session.schema())
+            # Crash: copy the directory while the session is still open.
+            crashed = tmp_path / "crashed"
+            shutil.copytree(directory, crashed)
+        finally:
+            session.close()
+        assert uncrashed == oracle_fingerprint(feed)
+
+        recovered = DurableShardedSchemaSession.recover(
+            crashed, config=CONFIG, schema_name="s", n_shards=2,
+            fsync="off", retain_union=True,
+        )
+        try:
+            assert recovered.sequence == 4
+            assert schema_fingerprint(recovered.schema()) == uncrashed
+        finally:
+            recovered.close()
+
+    def test_rejected_ingest_stream_change_set_rolls_back_its_record(
+        self, tmp_path
+    ):
+        feed = change_feed()
+        directory = tmp_path / "stream"
+        # No retained union graph: deletions are rejected at staging.
+        session = DurableShardedSchemaSession(
+            directory, CONFIG, schema_name="s", n_shards=2, parallel=True,
+            fsync="off",
+        )
+        try:
+            with pytest.raises(ConfigurationError, match="retain_union"):
+                session.ingest_stream(
+                    [feed[0], ChangeSet.deletions(nodes=["n0-0"]), feed[1]]
+                )
+            assert session.sequence == 1
+            assert session.wal.last_sequence == 1
+            session.ingest_stream([feed[1]])
+            assert session.wal.last_sequence == 2
+        finally:
+            session.close()
 
     def test_manifest_retention_and_refusal(self, tmp_path):
         directory = tmp_path / "shard"

@@ -17,6 +17,11 @@ layer and compared with the element-at-a-time restatement in
   fresh types and into one long-lived type per kind (replays and
   carried-over summaries included).
 
+* row access -- ``value_rows``, ``node_record``/``edge_record`` and
+  ``to_elements`` vs per-cell binary-search lookups, on batches from
+  every producer (``BatchBuilder.freeze``, ``ChangeSet.from_wire``,
+  ``decode_changeset_shm`` and ``partition_columnar`` parts).
+
 A smaller end-to-end check pins the session boundary: element
 change-sets and the same content as columnar change-sets reach the same
 schema.  Round-trip and interner persistence tests pin the converter
@@ -34,9 +39,15 @@ from repro.core.clustering import cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.preprocess import Preprocessor
 from repro.core.session import SchemaSession
+from repro.core.shm import (
+    ShmBlockRegistry,
+    decode_changeset_shm,
+    encode_changeset_shm,
+    shm_available,
+)
 from repro.embedding.corpus import build_label_corpus, build_label_corpus_columnar
-from repro.graph.changes import ChangeSet
-from repro.graph.columnar import ElementBatch, Interner
+from repro.graph.changes import ChangeSet, HashPartitioner
+from repro.graph.columnar import ElementBatch, Interner, partition_columnar
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.lsh.base import GroupingRule
 from repro.schema.model import EdgeType, NodeType, schema_fingerprint
@@ -257,6 +268,74 @@ class TestColumnarLayersMatchSeedReference:
     )
     def test_layers_match_reference(self, name, ops, option_index):
         run_layer_oracle(interpret(ops), CONFIGS[name], OPTIONS[option_index])
+
+
+def row_view_sources(change_set, n_shards):
+    """The change-set's batch as every batch producer rebuilds it."""
+    sources = [("freeze", change_set.columnar)]
+    sources.append(
+        (
+            "from_wire",
+            ChangeSet.from_wire(change_set.to_wire(), Interner()).columnar,
+        )
+    )
+    if shm_available():
+        registry = ShmBlockRegistry()
+        descriptor = encode_changeset_shm(change_set, registry)
+        try:
+            decoded = decode_changeset_shm(descriptor, Interner())
+        finally:
+            registry.release(descriptor.block)
+        sources.append(("shm", decoded.columnar))
+    parts = partition_columnar(HashPartitioner(n_shards), change_set)
+    for shard, part in sorted(parts.items()):
+        if part.columnar is not None:
+            sources.append((f"part{shard}", part.columnar))
+    return sources
+
+
+def check_row_view(batch):
+    """Every row-major reader of ``batch`` matches per-cell lookups."""
+    for block in (batch.nodes, batch.edges):
+        expected = [
+            seed_reference.row_values(batch, block, row)
+            for row in range(len(block))
+        ]
+        assert block.value_rows == expected
+        # Exact value types (bool stays bool, no numpy scalars).
+        assert [tuple(map(type, values)) for values in block.value_rows] == [
+            tuple(map(type, values)) for values in expected
+        ]
+    assert [batch.node_record(row) for row in range(batch.node_count)] == [
+        seed_reference.node_record(batch, row)
+        for row in range(batch.node_count)
+    ]
+    assert [batch.edge_record(row) for row in range(batch.edge_count)] == [
+        seed_reference.edge_record(batch, row)
+        for row in range(batch.edge_count)
+    ]
+    assert batch.to_elements() == seed_reference.to_elements(batch)
+
+
+class TestRowViewMatchesSeedReference:
+    @given(ops=operation_scripts(), n_shards=st.integers(1, 3))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_row_readers_match_per_cell_lookup(self, ops, n_shards):
+        interner = Interner()
+        for op in interpret(ops):
+            if op[0] != "insert":
+                continue
+            _, nodes, edges, stubs = op
+            change_set = ChangeSet(
+                columnar=ElementBatch.from_elements(nodes, edges, interner),
+                stub_node_ids=stubs,
+            )
+            for _, batch in row_view_sources(change_set, n_shards):
+                check_row_view(batch)
 
 
 class TestSessionBoundary:

@@ -14,7 +14,10 @@ the two layer by layer:
   token set (signed from token strings, never from interned ids);
 * **recording** (section 4.3) -- members attached one by one through
   ``record_instance`` and folded cell by cell through
-  :meth:`TypeSummaries.observe`.
+  :meth:`TypeSummaries.observe`;
+* **row access** -- one element's values looked up cell by cell, with a
+  binary search of each key's value column (what every row-major reader
+  of a batch must see through the block's cached row view).
 
 Nothing here is optimised; it is test code, and slow on purpose.
 """
@@ -27,6 +30,7 @@ from repro.core.accumulators import SummaryOptions, ensure_summaries
 from repro.core.adaptive import AdaptiveParameters, adapt_parameters
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.embedding.word2vec import Word2Vec
+from repro.graph.columnar import ColumnarElements, ElementBatch
 from repro.graph.model import Edge, Node
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
@@ -220,3 +224,67 @@ def type_state(schema_type) -> dict:
         ),
     }
     return state
+
+
+def row_values(
+    batch: ElementBatch, block: ColumnarElements, row: int
+) -> tuple:
+    """One row's values in key-set order, one binary search per cell."""
+    keyset = batch.interner.keyset(int(block.keyset_ids[row]))
+    return tuple(
+        block.columns[key].values[
+            int(np.searchsorted(block.columns[key].rows, row))
+        ]
+        for key in keyset.keys
+    )
+
+
+def node_record(batch: ElementBatch, row: int) -> tuple[int, int, tuple]:
+    """``(labelset_id, keyset_id, values)`` of one node row."""
+    block = batch.nodes
+    return (
+        int(block.labelset_ids[row]),
+        int(block.keyset_ids[row]),
+        row_values(batch, block, row),
+    )
+
+
+def edge_record(batch: ElementBatch, row: int) -> tuple:
+    """``(src, tgt, labelset_id, keyset_id, values)`` of one edge row."""
+    block = batch.edges
+    return (
+        block.source_ids[row],
+        block.target_ids[row],
+        int(block.labelset_ids[row]),
+        int(block.keyset_ids[row]),
+        row_values(batch, block, row),
+    )
+
+
+def to_elements(batch: ElementBatch) -> tuple[list[Node], list[Edge]]:
+    """Materialise a batch element by element from per-cell lookups."""
+    interner = batch.interner
+
+    def properties(block: ColumnarElements, row: int) -> dict:
+        keys = interner.keyset(int(block.keyset_ids[row])).keys
+        return dict(zip(keys, row_values(batch, block, row)))
+
+    nodes = [
+        Node(
+            node_id,
+            interner.labelset(int(batch.nodes.labelset_ids[row])).labels,
+            properties(batch.nodes, row),
+        )
+        for row, node_id in enumerate(batch.nodes.ids)
+    ]
+    edges = [
+        Edge(
+            edge_id,
+            batch.edges.source_ids[row],
+            batch.edges.target_ids[row],
+            interner.labelset(int(batch.edges.labelset_ids[row])).labels,
+            properties(batch.edges, row),
+        )
+        for row, edge_id in enumerate(batch.edges.ids)
+    ]
+    return nodes, edges
