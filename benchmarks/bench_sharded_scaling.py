@@ -1,11 +1,12 @@
-"""Sharded ingestion scaling: throughput vs shards, handoff, and pipeline.
+"""Sharded ingestion scaling: throughput vs shards and dispatch.
 
 Drives one synthetic columnar insert stream through
 :class:`ShardedSchemaSession` across a variant grid -- shard count x
-shard handoff (``pickle`` vs zero-copy ``shm``) x dispatch (lockstep
-``apply`` vs pipelined ``ingest_stream``) -- and reports elements/sec
-plus the speedup over that variant's own 1-shard run.  Two measurements
-ride along:
+dispatch (lockstep ``apply`` vs pipelined ``ingest_stream``) -- and
+reports elements/sec plus the speedup over that variant's own 1-shard
+run.  Process shards use the platform's handoff: zero-copy ``shm`` where
+POSIX shared memory works, ``pickle`` otherwise (each row records
+which).  Two measurements ride along:
 
 * **per-hop payload bytes** -- what one shard part costs on the executor
   pipe: the full pickle versus the shm descriptor (name + layout; the
@@ -113,10 +114,9 @@ def single_session_reference(change_sets, config):
     return schema_fingerprint(session.schema()), ingest_seconds
 
 
-def bench_variant(change_sets, n_shards, handoff, pipelined, parallel):
-    config = PGHiveConfig(seed=SEED, shard_handoff=handoff)
+def bench_variant(change_sets, n_shards, pipelined, parallel):
     with ShardedSchemaSession(
-        config,
+        PGHiveConfig(seed=SEED),
         schema_name="scaling-sharded",
         n_shards=n_shards,
         parallel=parallel,
@@ -132,6 +132,7 @@ def bench_variant(change_sets, n_shards, handoff, pipelined, parallel):
         schema = session.schema()
         merge_seconds = time.perf_counter() - start
         fingerprint = schema_fingerprint(schema)
+        handoff = session.handoff
     return fingerprint, {
         "n_shards": n_shards,
         "handoff": handoff,
@@ -177,14 +178,12 @@ def main(argv: list[str] | None = None) -> int:
     batches = synthetic_stream(batch_count, nodes, SEED)
     change_sets = columnar_change_sets(batches)
     total = sum(len(batch) for batch in batches)
-    handoffs = ["pickle"]
-    if parallel and shm_available():
-        handoffs.append("shm")
+    handoff = "shm" if parallel and shm_available() else "pickle"
     mode = "process shards" if parallel else "serial shards"
     print(
         f"sharded scaling bench: {batch_count} columnar change-sets, "
         f"~{nodes} nodes each, {total:,} elements, {mode}, "
-        f"handoffs {'/'.join(handoffs)}, {cores} core(s)"
+        f"handoff {handoff}, {cores} core(s)"
     )
 
     payload_bytes = None
@@ -206,31 +205,29 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = []
     fingerprints_match = True
-    baselines: dict[tuple, float] = {}
-    for handoff in handoffs:
-        for pipelined in (False, True):
-            for n_shards in shard_counts:
-                fingerprint, row = bench_variant(
-                    change_sets, n_shards, handoff, pipelined, parallel
-                )
-                row["matches_single_session"] = fingerprint == reference
-                fingerprints_match &= row["matches_single_session"]
-                key = (handoff, pipelined)
-                baselines.setdefault(key, row["ingest_seconds"])
-                row["throughput"] = total / max(row["ingest_seconds"], 1e-12)
-                row["speedup_vs_1_shard"] = baselines[key] / max(
-                    row["ingest_seconds"], 1e-12
-                )
-                rows.append(row)
-                dispatch = "pipeline" if pipelined else "lockstep"
-                print(
-                    f"  {n_shards} shard(s) {handoff:>6}/{dispatch:<8} "
-                    f"{row['throughput']:10,.0f} elements/sec  "
-                    f"({row['ingest_seconds']:.2f}s ingest, "
-                    f"{row['merge_ms']:.1f}ms snapshot, "
-                    f"{row['speedup_vs_1_shard']:.2f}x vs 1 shard, "
-                    f"match: {row['matches_single_session']})"
-                )
+    baselines: dict[bool, float] = {}
+    for pipelined in (False, True):
+        for n_shards in shard_counts:
+            fingerprint, row = bench_variant(
+                change_sets, n_shards, pipelined, parallel
+            )
+            row["matches_single_session"] = fingerprint == reference
+            fingerprints_match &= row["matches_single_session"]
+            baselines.setdefault(pipelined, row["ingest_seconds"])
+            row["throughput"] = total / max(row["ingest_seconds"], 1e-12)
+            row["speedup_vs_1_shard"] = baselines[pipelined] / max(
+                row["ingest_seconds"], 1e-12
+            )
+            rows.append(row)
+            dispatch = "pipeline" if pipelined else "lockstep"
+            print(
+                f"  {n_shards} shard(s) {row['handoff']:>6}/{dispatch:<8} "
+                f"{row['throughput']:10,.0f} elements/sec  "
+                f"({row['ingest_seconds']:.2f}s ingest, "
+                f"{row['merge_ms']:.1f}ms snapshot, "
+                f"{row['speedup_vs_1_shard']:.2f}x vs 1 shard, "
+                f"match: {row['matches_single_session']})"
+            )
 
     leaked_blocks = list(global_registry().live_blocks())
 

@@ -105,11 +105,6 @@ class PGHiveConfig:
     #: change which types Algorithm 2 merges (DESIGN.md "Structural
     #: dedup").
     structural_dedup: bool = True
-    #: Parallel shard handoff: ``"auto"`` ships columnar change-sets
-    #: through shared-memory blocks when the platform supports them and
-    #: falls back to pickling, ``"pickle"``/``"shm"`` force one path.
-    #: Serial sessions ignore this (no process hop to optimise).
-    shard_handoff: str = "auto"
     #: Datatype inference by sampling (section 4.4): fraction + floor.
     datatype_sampling: bool = False
     datatype_sample_fraction: float = 0.1
@@ -154,9 +149,4 @@ class PGHiveConfig:
             raise ConfigurationError(
                 "key_pair_tracking_cap must be >= 0, got "
                 f"{self.key_pair_tracking_cap}"
-            )
-        if self.shard_handoff not in ("auto", "pickle", "shm"):
-            raise ConfigurationError(
-                "shard_handoff must be one of 'auto', 'pickle', 'shm', "
-                f"got {self.shard_handoff!r}"
             )

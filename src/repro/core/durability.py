@@ -12,8 +12,8 @@ mix.  :func:`read_artifact` verifies length and digest and raises a
 *typed* error per failure mode: :class:`~repro.errors.CheckpointFormatError`
 (bad magic / malformed header), :class:`~repro.errors.CheckpointVersionError`
 (version from the future), :class:`~repro.errors.CheckpointCorruptError`
-(length or digest mismatch).  Legacy 2-token headers (pre-digest
-checkpoint v1) stay readable but unverified.
+(length or digest mismatch).  Every artifact kind has exactly one
+readable version; older headers fail with the version error.
 
 **Write-ahead log** -- :class:`WriteAheadLog` is an append-only segment
 log of ``(sequence, payload)`` records:
@@ -140,14 +140,11 @@ def read_artifact(
     magic: bytes,
     *,
     version: int,
-    legacy_versions: tuple[int, ...] = (),
 ) -> tuple[int, bytes]:
     """Read and verify an artifact written by :func:`write_artifact`.
 
-    Returns ``(version, payload)``.  Versions in ``legacy_versions``
-    use the historical 2-token header (no digest) and return their
-    payload unverified.  Failure modes raise distinct typed errors; see
-    the module docstring.
+    Returns ``(version, payload)``.  Failure modes raise distinct typed
+    errors; see the module docstring.
     """
     path = Path(path)
     try:
@@ -174,19 +171,10 @@ def read_artifact(
         raise CheckpointFormatError(
             f"{path}: unparseable artifact version in header"
         ) from None
-    if found_version in legacy_versions:
-        if len(tokens) != 2:
-            raise CheckpointFormatError(
-                f"{path}: version-{found_version} header carries "
-                f"{len(tokens)} fields, expected 2"
-            )
-        return found_version, payload
     if found_version != version:
         raise CheckpointVersionError(
             f"{path}: unsupported version {found_version} (this build "
-            f"reads version {version}"
-            + (f", legacy {sorted(legacy_versions)}" if legacy_versions else "")
-            + ")"
+            f"reads version {version})"
         )
     if len(tokens) != 4:
         raise CheckpointFormatError(

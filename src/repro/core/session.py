@@ -82,8 +82,6 @@ from repro.util import Timer
 #: payload digest and length since v2; see repro.core.durability).
 CHECKPOINT_MAGIC = b"pghive-session-checkpoint"
 CHECKPOINT_VERSION = 2
-#: Digest-free pre-durability versions that stay readable (unverified).
-CHECKPOINT_LEGACY_VERSIONS = (1,)
 
 
 @dataclass(frozen=True)  # no slots: checkpoints pickle these, and
@@ -822,10 +820,7 @@ class SchemaSession:
         """
         path = Path(path)
         _, data = read_artifact(
-            path,
-            CHECKPOINT_MAGIC,
-            version=CHECKPOINT_VERSION,
-            legacy_versions=CHECKPOINT_LEGACY_VERSIONS,
+            path, CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION
         )
         try:
             payload = pickle.loads(data)

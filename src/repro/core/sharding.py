@@ -4,17 +4,20 @@ The incremental-view-maintenance literature's standard route to parallel
 maintenance -- partition the change feed, keep mergeable per-partition
 state, combine on read -- applied to PG-HIVE:
 
-* A :class:`~repro.graph.changes.HashPartitioner` routes every node and
-  edge of an incoming :class:`~repro.graph.changes.ChangeSet` to one of
-  ``n_shards`` per-shard :class:`~repro.core.session.SchemaSession`\\ s by
-  stable content hashing.  Edges travel with full *stub* copies of
-  endpoints owned by other shards (resolved from the session's node
-  registry), flagged so the receiving shard clusters them for context but
-  never records them -- each element is counted by exactly one shard,
-  which is what makes the per-shard states mergeable without
-  double-counting.  Node deletions broadcast to every shard (stub copies
-  and their incident edges must cascade everywhere); edge deletions route
-  to the owning shard.
+* Element-wise inserts convert once, at the top of the coordinator, into
+  one columnar :class:`~repro.graph.columnar.ElementBatch` on the
+  session's interner; past that point every change-set is columnar.
+  :func:`~repro.graph.columnar.partition_columnar` then routes every node
+  and edge row to one of ``n_shards`` per-shard
+  :class:`~repro.core.session.SchemaSession`\\ s by stable content
+  hashing.  Edges travel with full *stub* rows of endpoints owned by
+  other shards (resolved from the session's node registry), flagged so
+  the receiving shard clusters them for context but never records them
+  -- each element is counted by exactly one shard, which is what makes
+  the per-shard states mergeable without double-counting.  Node
+  deletions broadcast to every shard (stub copies and their incident
+  edges must cascade everywhere); edge deletions route to the owning
+  shard.
 * Shards run serially in-process by default, or -- with
   ``parallel=True`` -- each shard gets a dedicated single-worker
   ``ProcessPoolExecutor`` so its session lives in a pinned OS process and
@@ -81,25 +84,26 @@ from repro.core.state import DiscoveryState
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
+    DanglingEdgeError,
     DegradedModeWarning,
 )
 from repro.graph.changes import ChangeSet, HashPartitioner
 from repro.graph.columnar import (
+    BatchBuilder,
     Interner,
     SignatureStore,
     global_interner,
     partition_columnar,
     value_shapes,
 )
-from repro.graph.model import Node, PropertyGraph
+from repro.graph.model import PropertyGraph
 from repro.schema.model import SchemaGraph
 
-#: First line of every sharded-checkpoint manifest (digest-framed since
-#: v2; see repro.core.durability).
+#: First line of every sharded-checkpoint manifest (digest-framed; see
+#: repro.core.durability).  Version 3 stores every registry entry as a
+#: content-encoded record.
 MANIFEST_MAGIC = b"pghive-sharded-checkpoint"
-MANIFEST_VERSION = 2
-#: Digest-free pre-durability versions that stay readable (unverified).
-MANIFEST_LEGACY_VERSIONS = (1,)
+MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest.ckpt"
 
 
@@ -150,58 +154,6 @@ class ShardFaultEvent:
 # worker process is exactly one session per shard.
 # ----------------------------------------------------------------------
 _WORKER_SESSION: SchemaSession | None = None
-
-
-# ----------------------------------------------------------------------
-# Registry entries: legacy feeds register :class:`Node` objects, columnar
-# feeds register compact ``(labelset_id, keyset_id, values)`` records.
-# The two views below decode whichever is stored into whatever the
-# active partition path needs, so mixed feeds stay correct.
-# ----------------------------------------------------------------------
-def _entry_to_node(node_id: str, entry, interner: Interner) -> Node:
-    if isinstance(entry, Node):
-        return entry
-    labelset_id, keyset_id, values = entry
-    keys = interner.keyset(keyset_id).keys
-    return Node(
-        node_id,
-        interner.labelset(labelset_id).labels,
-        dict(zip(keys, values)),
-    )
-
-
-def _entry_to_record(entry, interner: Interner):
-    if not isinstance(entry, Node):
-        return entry
-    labelset_id = interner.intern_labels(entry.labels)
-    keyset_id = interner.intern_keys(entry.properties)
-    keys = interner.keyset(keyset_id).keys
-    return (
-        labelset_id,
-        keyset_id,
-        tuple(entry.properties[key] for key in keys),
-    )
-
-
-class _RegistryView:
-    """Read-only registry adapter decoding entries for one partition path."""
-
-    __slots__ = ("_registry", "_interner", "_as_record")
-
-    def __init__(
-        self, registry: dict, interner: Interner, as_record: bool
-    ) -> None:
-        self._registry = registry
-        self._interner = interner
-        self._as_record = as_record
-
-    def get(self, node_id: str):
-        entry = self._registry.get(node_id)
-        if entry is None:
-            return None
-        if self._as_record:
-            return _entry_to_record(entry, self._interner)
-        return _entry_to_node(node_id, entry, self._interner)
 
 
 def _worker_init(config, schema_name, retain_union, streaming, track_keys):
@@ -384,15 +336,15 @@ class ShardedSchemaSession:
         self._shard_config = replace(self.config, post_process_each_batch=False)
         self._partitioner = HashPartitioner(self.n_shards)
         #: first-inserted version of every live node, for stub routing
-        #: (mirrors the union graph's first-version-wins semantics).
-        #: Values are :class:`Node` objects (legacy feeds) or compact
-        #: columnar records (columnar feeds); see ``_RegistryView``.
-        self._registry: dict[str, object] = {}
-        #: the single interner every columnar change-set of this session
-        #: must share: registry records store interner-local ids, so a
-        #: batch built against a different interner would silently decode
-        #: to wrong content.  Pinned by the first columnar apply (or by
-        #: restore) and enforced afterwards.
+        #: (mirrors the union graph's first-version-wins semantics), as a
+        #: compact ``(labelset_id, keyset_id, values)`` record.
+        self._registry: dict[str, tuple[int, int, tuple]] = {}
+        #: the single interner every change-set of this session must
+        #: share: registry records store interner-local ids, so a batch
+        #: built against a different interner would silently decode to
+        #: wrong content.  Pinned by the first insert (element inserts
+        #: convert on it; columnar ones bring theirs) or by restore, and
+        #: enforced afterwards.
         self._interner: Interner = global_interner()
         self._interner_pinned = False
         #: coordinator-level signature seeds mirroring the registry: one
@@ -423,19 +375,13 @@ class ShardedSchemaSession:
             [] for _ in range(self.n_shards)
         ]
         self._degraded: dict[int, SchemaSession] = {}
-        handoff = self.config.shard_handoff
-        if handoff == "shm" and not shm_available():
-            raise ConfigurationError(
-                "shard_handoff='shm' requires working POSIX shared memory, "
-                "which this platform failed to provide; use 'auto' or "
-                "'pickle'"
-            )
-        if handoff == "auto":
-            handoff = "shm" if self.parallel and shm_available() else "pickle"
-        #: resolved handoff mode: ``"shm"`` ships columnar parts through
-        #: shared-memory blocks, ``"pickle"`` ships whole change-sets.
-        #: Serial mode never consults it (shards apply in-process).
-        self.handoff = handoff
+        #: handoff mode: ``"shm"`` ships parts through shared-memory
+        #: blocks whenever the platform provides POSIX shared memory,
+        #: ``"pickle"`` ships whole change-sets otherwise.  Serial mode
+        #: never consults it (shards apply in-process).
+        self.handoff = (
+            "shm" if self.parallel and shm_available() else "pickle"
+        )
         self._shm_registry = global_shm_registry()
         #: futures submitted to each shard's pool and not yet collected
         #: (pipelined mode keeps several in flight per shard).
@@ -526,10 +472,9 @@ class ShardedSchemaSession:
     def apply(self, change_set: ChangeSet) -> ShardedChangeReport:
         """Partition one change-set and apply the parts to their shards.
 
-        Columnar change-sets partition over the batch's id column and the
-        per-shard sub-change-sets stay columnar, so every shard ingests
-        through the zero-copy path; the node registry then stores compact
-        records instead of :class:`Node` objects.
+        Element inserts convert to columnar first; change-sets partition
+        over the batch's id column and the per-shard sub-change-sets stay
+        columnar, so every shard ingests through the zero-copy path.
         """
         prepared = self._prepare(change_set)
         start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
@@ -554,6 +499,7 @@ class ShardedSchemaSession:
                 "deletions require retained union graphs: construct the "
                 "sharded session with PGHiveConfig(retain_union=True)"
             )
+        change_set = self._as_columnar(change_set)
         interner_before = self._interner
         pinned_before = self._interner_pinned
         seeded: list[str] = []
@@ -561,11 +507,6 @@ class ShardedSchemaSession:
         columnar = change_set.columnar
         batch_records: dict[str, tuple[int, int, tuple]] = {}
         if columnar is not None:
-            if change_set.nodes or change_set.edges:
-                raise ConfigurationError(
-                    "a change-set carries either element-wise or columnar "
-                    "inserts, not both"
-                )
             if columnar.interner is not self._interner:
                 if self._interner_pinned:
                     raise ConfigurationError(
@@ -578,39 +519,20 @@ class ShardedSchemaSession:
                 self._signatures.interner = columnar.interner
             self._interner_pinned = True
             registry = self._registry
-            # Build each node's compact record once: it seeds the registry
-            # *and* pre-warms the partitioner's record cache.  The batch
-            # already carries the structural signature column, so seeding
-            # the signature refcounts rides the same pass.
-            batch_signatures: dict[str, int] = {}
+            # Build each node's compact record once (node ids of a frozen
+            # batch are unique): it seeds the registry *and* feeds the
+            # partitioner's stub rows.  The batch already carries the
+            # structural signature column, so seeding the signature
+            # refcounts rides the same pass.
             signature_list = columnar.nodes.signature_list
             for row, node_id in enumerate(columnar.nodes.ids):
-                if node_id not in batch_records:
-                    batch_records[node_id] = columnar.node_record(row)
-                    batch_signatures[node_id] = signature_list[row]
-            for node_id, record in batch_records.items():
+                record = batch_records[node_id] = columnar.node_record(row)
                 if node_id not in registry:
                     registry[node_id] = record
                     seeded.append(node_id)
-                    signature_id = batch_signatures[node_id]
+                    signature_id = signature_list[row]
                     self._signatures.add(signature_id)
                     seeded_signatures.append(signature_id)
-            inserted_node_ids = set(batch_records)
-            nodes_inserted = columnar.node_count
-            edges_inserted = columnar.edge_count
-        else:
-            for node in change_set.nodes:
-                if node.node_id not in self._registry:
-                    self._registry[node.node_id] = node
-                    seeded.append(node.node_id)
-                    signature_id = self._record_signature(
-                        _entry_to_record(node, self._interner)
-                    )
-                    self._signatures.add(signature_id)
-                    seeded_signatures.append(signature_id)
-            inserted_node_ids = {n.node_id for n in change_set.nodes}
-            nodes_inserted = len(change_set.nodes)
-            edges_inserted = len(change_set.edges)
         prepared = _PreparedChange(
             change_set=change_set,
             parts={},
@@ -619,35 +541,65 @@ class ShardedSchemaSession:
                 for node_id in change_set.delete_nodes
                 if node_id in self._registry
             },
-            inserted_node_ids=inserted_node_ids,
-            nodes_inserted=nodes_inserted,
-            edges_inserted=edges_inserted,
+            inserted_node_ids=set(batch_records),
+            nodes_inserted=change_set.inserted_node_count,
+            edges_inserted=change_set.inserted_edge_count,
             seeded=seeded,
             seeded_signatures=seeded_signatures,
             interner_before=interner_before,
             pinned_before=pinned_before,
         )
         try:
-            if columnar is not None:
-                prepared.parts = partition_columnar(
-                    self._partitioner,
-                    change_set,
-                    _RegistryView(
-                        self._registry, self._interner, as_record=True
-                    ),
-                    record_cache=batch_records,
-                )
-            else:
-                prepared.parts = self._partitioner.partition(
-                    change_set,
-                    _RegistryView(
-                        self._registry, self._interner, as_record=False
-                    ),
-                )
+            prepared.parts = partition_columnar(
+                self._partitioner, change_set, batch_records
+            )
         except Exception:
             self._rollback(prepared)
             raise
         return prepared
+
+    def _as_columnar(self, change_set: ChangeSet) -> ChangeSet:
+        """Convert element inserts to one columnar change-set.
+
+        The batch builds on the session's interner.  An edge endpoint the
+        change-set does not carry becomes a stub row copied from its
+        registry record and marked in ``stub_node_ids``, exactly like the
+        stub rows columnar producers ship; an endpoint with no registry
+        record raises :class:`DanglingEdgeError` before anything is
+        seeded.  Columnar and deletion-only change-sets pass through.
+        """
+        if not (change_set.nodes or change_set.edges):
+            return change_set
+        if change_set.columnar is not None:
+            raise ConfigurationError(
+                "a change-set carries either element-wise or columnar "
+                "inserts, not both"
+            )
+        builder = BatchBuilder(self._interner)
+        for node in change_set.nodes:
+            builder.put_node_element(node)
+        stubs = set(change_set.stub_node_ids)
+        for edge in change_set.edges:
+            for endpoint_id in edge.endpoints():
+                if builder.has_node(endpoint_id):
+                    continue
+                record = self._registry.get(endpoint_id)
+                if record is None:
+                    raise DanglingEdgeError(
+                        f"change-set edge {edge.edge_id!r} references node "
+                        f"{endpoint_id!r}, which is neither in the "
+                        "change-set nor known to the partitioner's node "
+                        "lookup"
+                    )
+                builder.add_node(endpoint_id, *record)
+                stubs.add(endpoint_id)
+            builder.add_edge_element(edge)
+        return ChangeSet(
+            delete_nodes=list(change_set.delete_nodes),
+            delete_edges=list(change_set.delete_edges),
+            stub_node_ids=frozenset(stubs),
+            columnar=builder.freeze(),
+        )
 
     def _rollback(self, prepared: _PreparedChange) -> None:
         """Un-stage a rejected change-set.
@@ -680,9 +632,7 @@ class ShardedSchemaSession:
         """
         for node_id in prepared.deleted_nodes:
             self._signatures.remove(
-                self._record_signature(
-                    _entry_to_record(self._registry[node_id], self._interner)
-                )
+                self._record_signature(self._registry[node_id])
             )
             del self._registry[node_id]
         self._sequence += 1
@@ -1248,21 +1198,17 @@ class ShardedSchemaSession:
             "streaming_postprocess": self._streaming,
             "track_keys": self._track_keys,
             "sequence": self._sequence,
-            # Columnar records are encoded by content (labels, keys,
+            # Registry records are encoded by content (labels, keys,
             # values): interner ids are process-local and would not
             # survive a restore in a fresh process.
             "registry": {
                 node_id: (
-                    entry
-                    if isinstance(entry, Node)
-                    else (
-                        "columnar",
-                        sorted(self._interner.labelset(entry[0]).labels),
-                        self._interner.keyset(entry[1]).keys,
-                        entry[2],
-                    )
+                    sorted(self._interner.labelset(labelset_id).labels),
+                    self._interner.keyset(keyset_id).keys,
+                    values,
                 )
-                for node_id, entry in self._registry.items()
+                for node_id, (labelset_id, keyset_id, values)
+                in self._registry.items()
             },
             # Coordinator signature seeds, content-encoded like the
             # registry records (ids are process-local).
@@ -1291,10 +1237,7 @@ class ShardedSchemaSession:
         directory = Path(directory)
         manifest = directory / MANIFEST_NAME
         _, data = read_artifact(
-            manifest,
-            MANIFEST_MAGIC,
-            version=MANIFEST_VERSION,
-            legacy_versions=MANIFEST_LEGACY_VERSIONS,
+            manifest, MANIFEST_MAGIC, version=MANIFEST_VERSION
         )
         try:
             payload = pickle.loads(data)
@@ -1313,27 +1256,21 @@ class ShardedSchemaSession:
         )
         session._sequence = payload["sequence"]
         interner = global_interner()
-        registry: dict[str, object] = {}
-        for node_id, entry in payload["registry"].items():
-            if isinstance(entry, Node):
-                registry[node_id] = entry
-            else:
-                _, labels, keys, values = entry
-                labelset_id = interner.intern_labels(labels)
-                keyset_id = interner.intern_keys(keys)
-                registry[node_id] = (labelset_id, keyset_id, tuple(values))
-        session._registry = registry
+        session._registry = {
+            node_id: (
+                interner.intern_labels(labels),
+                interner.intern_keys(keys),
+                tuple(values),
+            )
+            for node_id, (labels, keys, values) in payload["registry"].items()
+        }
         session._interner = interner
-        # Pre-dedup manifests carry no signature seeds; the restored
-        # store starts empty and re-seeds from subsequent change-sets.
         session._signatures = SignatureStore.from_snapshot(
-            payload.get("signatures"), interner
+            payload["signatures"], interner
         )
         # Restored records were re-interned against the process-wide
-        # interner; later columnar batches must share it.
-        session._interner_pinned = any(
-            not isinstance(entry, Node) for entry in registry.values()
-        )
+        # interner; later batches must share it.
+        session._interner_pinned = bool(session._registry)
         shard_paths = [directory / name for name in payload["shard_files"]]
         if session.parallel:
             pools = session._ensure_pools()

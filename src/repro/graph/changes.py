@@ -25,12 +25,11 @@ Conventions:
   exact when several consumers (shards) each see a stub copy of the same
   node.
 
-The module also provides the partitioning side of sharded discovery:
-:class:`HashPartitioner` splits one change-set into per-shard change-sets
-(stable content hashing, endpoint stubs routed alongside their edges,
-node deletions broadcast so stub copies are cleaned up everywhere), and
-:func:`changesets_from_elements` groups any node/edge element stream into
-endpoint-complete change-sets for the streaming IO readers.
+The module also provides :class:`HashPartitioner`, the stable id routing
+of sharded discovery (the split itself is
+:func:`repro.graph.columnar.partition_columnar`), and
+:func:`changesets_from_elements`, which groups any node/edge element
+stream into endpoint-complete change-sets for the streaming IO readers.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import zlib
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -338,13 +337,11 @@ def stable_shard(element_id: str, n_shards: int) -> int:
 
 
 @dataclass
-class _ShardDraft:
-    """Mutable assembly buffer for one shard's sub-change-set."""
+class _Draft:
+    """Mutable assembly buffer for one endpoint-complete change-set."""
 
     nodes: list[Node] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
-    delete_nodes: list[str] = field(default_factory=list)
-    delete_edges: list[str] = field(default_factory=list)
     present: set[str] = field(default_factory=set)
     stubs: set[str] = field(default_factory=set)
 
@@ -352,25 +349,17 @@ class _ShardDraft:
         return ChangeSet(
             nodes=self.nodes,
             edges=self.edges,
-            delete_nodes=self.delete_nodes,
-            delete_edges=self.delete_edges,
             stub_node_ids=frozenset(self.stubs),
         )
 
 
 class HashPartitioner:
-    """Route change-sets to shards by stable content hashing.
+    """Stable content-hash routing of element ids to ``n_shards`` shards.
 
     Nodes route by ``stable_shard(node_id)``; edges by
-    ``stable_shard(edge_id)``.  An edge whose endpoint is owned by a
-    different shard travels with a full *stub* copy of the endpoint node
-    (taken from the change-set itself or from ``node_lookup``, typically
-    the sharded session's node registry), marked in
-    :attr:`ChangeSet.stub_node_ids` so the receiving shard does not
-    record it as a fresh instance.  Node deletions broadcast to every
-    shard -- each shard owns the edges incident to its stub copies and
-    must cascade them -- while edge deletions route to the edge's owner
-    only.
+    ``stable_shard(edge_id)``.  Splitting a change-set into per-shard
+    parts (stub rows, deletion broadcast) is
+    :func:`repro.graph.columnar.partition_columnar`.
     """
 
     def __init__(self, n_shards: int) -> None:
@@ -381,71 +370,6 @@ class HashPartitioner:
     def shard_of(self, element_id: str) -> int:
         """Stable shard index of one element id."""
         return stable_shard(element_id, self.n_shards)
-
-    def partition(
-        self,
-        change_set: ChangeSet,
-        node_lookup: Mapping[str, Node] | None = None,
-    ) -> dict[int, ChangeSet]:
-        """Split ``change_set`` into non-empty per-shard change-sets.
-
-        Columnar change-sets partition over the batch's id column (see
-        :func:`repro.graph.columnar.partition_columnar`); ``node_lookup``
-        must then map node ids to compact columnar records instead of
-        :class:`Node` objects.
-        """
-        if change_set.columnar is not None:
-            from repro.graph.columnar import partition_columnar
-
-            return partition_columnar(self, change_set, node_lookup)
-        drafts: dict[int, _ShardDraft] = {}
-
-        def draft(shard: int) -> _ShardDraft:
-            existing = drafts.get(shard)
-            if existing is None:
-                existing = drafts[shard] = _ShardDraft()
-            return existing
-
-        in_change_set = {node.node_id: node for node in change_set.nodes}
-        for node in change_set.nodes:
-            part = draft(self.shard_of(node.node_id))
-            part.nodes.append(node)
-            part.present.add(node.node_id)
-            if node.node_id in change_set.stub_node_ids:
-                # The producer already marked this node as a replayed
-                # stub; keep the flag so no shard re-records it.
-                part.stubs.add(node.node_id)
-
-        for edge in change_set.edges:
-            part = draft(self.shard_of(edge.edge_id))
-            for endpoint_id in edge.endpoints():
-                if endpoint_id in part.present:
-                    continue
-                stub = in_change_set.get(endpoint_id)
-                if stub is None and node_lookup is not None:
-                    stub = node_lookup.get(endpoint_id)
-                if stub is None:
-                    raise DanglingEdgeError(
-                        f"change-set edge {edge.edge_id!r} references node "
-                        f"{endpoint_id!r}, which is neither in the change-set "
-                        "nor known to the partitioner's node lookup"
-                    )
-                part.nodes.append(stub)
-                part.present.add(endpoint_id)
-                part.stubs.add(endpoint_id)
-            part.edges.append(edge)
-
-        if change_set.delete_nodes:
-            for shard in range(self.n_shards):
-                draft(shard).delete_nodes.extend(change_set.delete_nodes)
-        for edge_id in change_set.delete_edges:
-            draft(self.shard_of(edge_id)).delete_edges.append(edge_id)
-
-        return {
-            shard: part.freeze()
-            for shard, part in sorted(drafts.items())
-            if part.nodes or part.edges or part.delete_nodes or part.delete_edges
-        }
 
 
 def changesets_from_elements(
@@ -471,7 +395,7 @@ def changesets_from_elements(
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     directory: dict[str, Node] = {}
     pending: list[Edge] = []
-    draft = _ShardDraft()
+    draft = _Draft()
     fresh = 0
 
     def resolve(edge: Edge) -> bool:
@@ -491,7 +415,7 @@ def changesets_from_elements(
     def flush() -> ChangeSet:
         nonlocal draft, fresh
         change_set = draft.freeze()
-        draft = _ShardDraft()
+        draft = _Draft()
         fresh = 0
         return change_set
 

@@ -34,8 +34,9 @@ This module provides that representation:
   ``stub_node_ids``), holding one compact record per distinct node id in
   memory instead of one dataclass.
 * :func:`partition_columnar` -- the sharded-session partitioning step
-  over the id column (stable blake2b routing, stub rows shipped across
-  shards), mirroring :meth:`repro.graph.changes.HashPartitioner.partition`.
+  over the id column (stable blake2b routing through
+  :class:`repro.graph.changes.HashPartitioner`, stub rows shipped across
+  shards).
 
 The interner is process-wide state exactly like the MinHash token-id
 cache: ids are assigned in first-intern order and are therefore *not*
@@ -57,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError, DanglingEdgeError
-from repro.graph.changes import ChangeSet, _ShardDraft
+from repro.graph.changes import ChangeSet
 from repro.graph.model import Edge, Node, PropertyGraph, label_token
 from repro.lsh.minhash import token_content_id
 
@@ -1365,27 +1366,26 @@ def columnar_changesets_from_rows(
 def partition_columnar(
     partitioner: "HashPartitioner",
     change_set: ChangeSet,
-    node_lookup: Mapping[str, tuple[int, int, tuple]] | None = None,
-    record_cache: dict[str, tuple[int, int, tuple]] | None = None,
+    records: Mapping[str, tuple[int, int, tuple]] | None = None,
 ) -> dict[int, ChangeSet]:
-    """Split a columnar change-set into per-shard columnar change-sets.
+    """Split a change-set into non-empty per-shard columnar change-sets.
 
-    The columnar analogue of
-    :meth:`repro.graph.changes.HashPartitioner.partition`: node rows
-    route by ``stable_shard(node_id)``, edge rows by their edge id, and
-    cross-shard endpoints travel as stub rows (taken from the batch
-    itself or from ``node_lookup``, the sharded session's compact node
-    registry), marked in ``stub_node_ids``.  Node deletions broadcast,
-    edge deletions route to the owner shard.  ``record_cache`` may carry
-    pre-built compact records for this batch's node ids (the sharded
-    session builds them for its registry anyway); missing entries are
-    materialised on demand.
+    Node rows route by ``partitioner.shard_of(node_id)``, edge rows by
+    their edge id, and cross-shard endpoints travel as stub rows, marked
+    in ``stub_node_ids`` so no shard re-records them.  Batches are
+    endpoint-complete (:meth:`BatchBuilder.freeze` validates it), so
+    every stub row comes from the batch itself; ``records`` may carry
+    its compact node records pre-built (the sharded session builds them
+    for its registry anyway).  Node deletions broadcast to every shard
+    -- each shard owns the edges incident to its stub copies and must
+    cascade them -- while edge deletions route to the owner shard.  A
+    deletion-only change-set (``columnar is None``) yields deletion-only
+    parts.
     """
     batch = change_set.columnar
     shard_of = partitioner.shard_of
     builders: dict[int, BatchBuilder] = {}
     stubs: dict[int, set[str]] = {}
-    drafts: dict[int, _ShardDraft] = {}
 
     def builder(shard: int) -> BatchBuilder:
         existing = builders.get(shard)
@@ -1394,85 +1394,44 @@ def partition_columnar(
             stubs[shard] = set()
         return existing
 
-    in_batch: dict[str, int] = {
-        node_id: row for row, node_id in enumerate(batch.nodes.ids)
-    }
-    if record_cache is None:
-        record_cache = {}
+    if batch is not None:
+        if records is None:
+            records = {
+                node_id: batch.node_record(row)
+                for row, node_id in enumerate(batch.nodes.ids)
+            }
+        for node_id in batch.nodes.ids:
+            shard = shard_of(node_id)
+            builder(shard).add_node(node_id, *records[node_id])
+            if node_id in change_set.stub_node_ids:
+                stubs[shard].add(node_id)
+        edge_block = batch.edges
+        for row, edge_id in enumerate(edge_block.ids):
+            shard = shard_of(edge_id)
+            part = builder(shard)
+            for endpoint_id in (
+                edge_block.source_ids[row],
+                edge_block.target_ids[row],
+            ):
+                if not part.has_node(endpoint_id):
+                    part.add_node(endpoint_id, *records[endpoint_id])
+                    stubs[shard].add(endpoint_id)
+            part.add_edge(edge_id, *batch.edge_record(row))
 
-    def record_of(node_id: str) -> tuple[int, int, tuple] | None:
-        record = record_cache.get(node_id)
-        if record is None:
-            row = in_batch.get(node_id)
-            if row is not None:
-                record = batch.node_record(row)
-            elif node_lookup is not None:
-                record = node_lookup.get(node_id)
-            if record is not None:
-                record_cache[node_id] = record
-        return record
-
-    for row, node_id in enumerate(batch.nodes.ids):
-        shard = shard_of(node_id)
-        part = builder(shard)
-        record = record_of(node_id)
-        part.add_node(node_id, *record)
-        if node_id in change_set.stub_node_ids:
-            stubs[shard].add(node_id)
-
-    edge_block = batch.edges
-    for row, edge_id in enumerate(edge_block.ids):
-        shard = shard_of(edge_id)
-        part = builder(shard)
-        for endpoint_id in (
-            edge_block.source_ids[row],
-            edge_block.target_ids[row],
-        ):
-            if part.has_node(endpoint_id):
-                continue
-            record = record_of(endpoint_id)
-            if record is None:
-                raise DanglingEdgeError(
-                    f"change-set edge {edge_id!r} references node "
-                    f"{endpoint_id!r}, which is neither in the change-set "
-                    "nor known to the partitioner's node lookup"
-                )
-            part.add_node(endpoint_id, *record)
-            stubs[shard].add(endpoint_id)
-        part.add_edge(edge_id, *batch.edge_record(row))
-
-    if change_set.delete_nodes:
-        for shard in range(partitioner.n_shards):
-            draft = drafts.get(shard)
-            if draft is None:
-                draft = drafts[shard] = _ShardDraft()
-            draft.delete_nodes.extend(change_set.delete_nodes)
+    edge_deletes: dict[int, list[str]] = {}
     for edge_id in change_set.delete_edges:
-        shard = shard_of(edge_id)
-        draft = drafts.get(shard)
-        if draft is None:
-            draft = drafts[shard] = _ShardDraft()
-        draft.delete_edges.append(edge_id)
-
+        edge_deletes.setdefault(shard_of(edge_id), []).append(edge_id)
+    shards = set(builders) | set(edge_deletes)
+    if change_set.delete_nodes:
+        shards.update(range(partitioner.n_shards))
     parts: dict[int, ChangeSet] = {}
-    for shard in sorted(set(builders) | set(drafts)):
+    for shard in sorted(shards):
         part_builder = builders.get(shard)
-        draft = drafts.get(shard)
-        columnar = (
-            part_builder.freeze()
-            if part_builder is not None
-            and (part_builder.node_count or part_builder.edge_count)
-            else None
-        )
-        delete_nodes = list(draft.delete_nodes) if draft is not None else []
-        delete_edges = list(draft.delete_edges) if draft is not None else []
-        if columnar is None and not delete_nodes and not delete_edges:
-            continue
         parts[shard] = ChangeSet(
-            delete_nodes=delete_nodes,
-            delete_edges=delete_edges,
+            delete_nodes=list(change_set.delete_nodes),
+            delete_edges=edge_deletes.get(shard, []),
             stub_node_ids=frozenset(stubs.get(shard, ())),
-            columnar=columnar,
+            columnar=None if part_builder is None else part_builder.freeze(),
         )
     return parts
 

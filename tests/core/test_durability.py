@@ -74,12 +74,11 @@ class TestAtomicArtifacts:
         with pytest.raises(CheckpointCorruptError, match="bytes"):
             read_artifact(path, MAGIC, version=1)
 
-    def test_legacy_two_token_header(self, tmp_path):
+    def test_v1_two_token_header_is_refused(self, tmp_path):
         path = tmp_path / "legacy.bin"
         path.write_bytes(MAGIC + b" 1\npayload")
-        assert read_artifact(
-            path, MAGIC, version=2, legacy_versions=(1,)
-        ) == (1, b"payload")
+        with pytest.raises(CheckpointVersionError, match="version 1"):
+            read_artifact(path, MAGIC, version=2)
 
     def test_crash_before_replace_keeps_old_content(self, tmp_path):
         path = tmp_path / "a.bin"

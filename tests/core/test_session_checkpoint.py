@@ -171,17 +171,15 @@ class TestFormat:
         with pytest.raises(CheckpointCorruptError, match="digest"):
             SchemaSession.restore(path)
 
-    def test_reads_legacy_v1_header(self, figure1_graph, tmp_path):
+    def test_refuses_v1_header(self, figure1_graph, tmp_path):
         session = SchemaSession(PGHiveConfig(seed=0))
         session.add_batch(figure1_graph)
         v2 = session.checkpoint(tmp_path / "v2.ckpt").read_bytes()
         payload = v2.split(b"\n", 1)[1]
         legacy = tmp_path / "legacy.ckpt"
         legacy.write_bytes(CHECKPOINT_MAGIC + b" 1\n" + payload)
-        restored = SchemaSession.restore(legacy)
-        assert schema_fingerprint(restored.schema()) == schema_fingerprint(
-            session.schema()
-        )
+        with pytest.raises(CheckpointVersionError, match="version 1"):
+            SchemaSession.restore(legacy)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):

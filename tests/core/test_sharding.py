@@ -4,10 +4,21 @@ tracking, per-shard checkpoint manifests, and process-parallel mode."""
 import pytest
 
 from repro.core.config import PGHiveConfig
+from repro.core.durability import write_artifact
 from repro.core.session import SchemaSession
-from repro.core.sharding import ShardedSchemaSession
-from repro.errors import CheckpointError, ConfigurationError, DanglingEdgeError
+from repro.core.sharding import (
+    MANIFEST_MAGIC,
+    MANIFEST_NAME,
+    ShardedSchemaSession,
+)
+from repro.errors import (
+    CheckpointError,
+    CheckpointVersionError,
+    ConfigurationError,
+    DanglingEdgeError,
+)
 from repro.graph.changes import ChangeSet, HashPartitioner, stable_shard
+from repro.graph.columnar import ElementBatch, partition_columnar
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import schema_fingerprint
 
@@ -65,6 +76,15 @@ class TestStableShard:
         assert all(stable_shard(f"x{i}", 1) == 0 for i in range(20))
 
 
+def columnar(change_set: ChangeSet) -> ChangeSet:
+    """The change-set with its element inserts as one columnar batch."""
+    return ChangeSet(
+        columnar=ElementBatch.from_elements(change_set.nodes, change_set.edges),
+        delete_nodes=list(change_set.delete_nodes),
+        delete_edges=list(change_set.delete_edges),
+    )
+
+
 class TestHashPartitioner:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigurationError):
@@ -73,46 +93,52 @@ class TestHashPartitioner:
     def test_every_element_lands_on_exactly_one_shard(self):
         partitioner = HashPartitioner(4)
         change_set = feed(1, 8)[0]
-        parts = partitioner.partition(change_set)
-        fresh_nodes = [
-            node.node_id
-            for part in parts.values()
-            for node in part.nodes
-            if node.node_id not in part.stub_node_ids
-        ]
-        edges = [e.edge_id for part in parts.values() for e in part.edges]
+        parts = partition_columnar(partitioner, columnar(change_set))
+        fresh_nodes, edges = [], []
+        for part in parts.values():
+            part_nodes, part_edges = part.columnar.to_elements()
+            fresh_nodes += [
+                node.node_id
+                for node in part_nodes
+                if node.node_id not in part.stub_node_ids
+            ]
+            edges += [edge.edge_id for edge in part_edges]
         assert sorted(fresh_nodes) == sorted(n.node_id for n in change_set.nodes)
         assert sorted(edges) == sorted(e.edge_id for e in change_set.edges)
 
     def test_cross_shard_edges_ship_marked_stubs(self):
         partitioner = HashPartitioner(3)
-        change_set = feed(1, 9)[0]
-        parts = partitioner.partition(change_set)
+        parts = partition_columnar(partitioner, columnar(feed(1, 9)[0]))
         for index, part in parts.items():
-            shipped = {node.node_id for node in part.nodes}
-            for edge in part.edges:
+            part_nodes, part_edges = part.columnar.to_elements()
+            shipped = {node.node_id for node in part_nodes}
+            for edge in part_edges:
                 assert set(edge.endpoints()) <= shipped
             for stub_id in part.stub_node_ids:
                 # A stub is a node owned by a different shard.
                 assert partitioner.shard_of(stub_id) != index
 
-    def test_stub_resolution_uses_node_lookup(self):
-        partitioner = HashPartitioner(2)
+    def test_stub_resolution_uses_node_registry(self):
         older = labelled_node(0)
         edge = Edge("r0", older.node_id, older.node_id, {"R"})
-        parts = partitioner.partition(
-            ChangeSet.inserts(edges=[edge]), {older.node_id: older}
-        )
-        (part,) = parts.values()
-        assert part.stub_node_ids == {older.node_id}
+        session = ShardedSchemaSession(PGHiveConfig(seed=1), n_shards=2)
+        session.apply(ChangeSet.inserts(nodes=[older]))
+        converted = session._as_columnar(ChangeSet.inserts(edges=[edge]))
+        assert converted.stub_node_ids == {older.node_id}
+        parts = partition_columnar(session._partitioner, converted)
+        edge_part = parts[session._partitioner.shard_of(edge.edge_id)]
+        assert older.node_id in edge_part.stub_node_ids
+        report = session.apply(ChangeSet.inserts(edges=[edge]))
+        assert (report.nodes_inserted, report.edges_inserted) == (0, 1)
         with pytest.raises(DanglingEdgeError):
-            partitioner.partition(ChangeSet.inserts(edges=[edge]), {})
+            ShardedSchemaSession(n_shards=2).apply(ChangeSet.inserts(edges=[edge]))
 
     def test_node_deletions_broadcast_edge_deletions_route(self):
         partitioner = HashPartitioner(3)
-        parts = partitioner.partition(
-            ChangeSet.deletions(nodes=["v1"], edges=["r1"])
+        parts = partition_columnar(
+            partitioner, ChangeSet.deletions(nodes=["v1"], edges=["r1"])
         )
+        assert all(part.columnar is None for part in parts.values())
         with_node_delete = [i for i, p in parts.items() if p.delete_nodes]
         with_edge_delete = [i for i, p in parts.items() if p.delete_edges]
         assert with_node_delete == [0, 1, 2]
@@ -232,6 +258,20 @@ class TestShardedCheckpoint:
             session.schema()
         )
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_refuses_older_manifest_versions(self, tmp_path, version):
+        session = ShardedSchemaSession(PGHiveConfig(seed=5), n_shards=2)
+        session.apply(feed(1)[0])
+        directory = session.checkpoint(tmp_path / "ck")
+        manifest = directory / MANIFEST_NAME
+        payload = manifest.read_bytes().split(b"\n", 1)[1]
+        if version == 1:
+            manifest.write_bytes(MANIFEST_MAGIC + b" 1\n" + payload)
+        else:
+            write_artifact(manifest, MANIFEST_MAGIC, version, payload)
+        with pytest.raises(CheckpointVersionError, match=f"version {version}"):
+            ShardedSchemaSession.restore(directory)
+
     def test_manifest_validation(self, tmp_path):
         with pytest.raises(CheckpointError):
             ShardedSchemaSession.restore(tmp_path / "missing")
@@ -260,6 +300,24 @@ class TestParallelMode:
         for change_set in change_sets:
             serial.apply(change_set)
         with ShardedSchemaSession(config, n_shards=2, parallel=True) as parallel:
+            for change_set in change_sets:
+                parallel.apply(change_set)
+            assert schema_fingerprint(parallel.schema()) == schema_fingerprint(
+                serial.schema()
+            )
+
+    def test_pickle_handoff_without_shared_memory(self, monkeypatch):
+        # Platforms without POSIX shared memory ship parts by pickle.
+        monkeypatch.setattr(
+            "repro.core.sharding.shm_available", lambda: False
+        )
+        config = PGHiveConfig(seed=2, infer_keys=True)
+        change_sets = feed(3)
+        serial = ShardedSchemaSession(config, n_shards=2)
+        for change_set in change_sets:
+            serial.apply(change_set)
+        with ShardedSchemaSession(config, n_shards=2, parallel=True) as parallel:
+            assert parallel.handoff == "pickle"
             for change_set in change_sets:
                 parallel.apply(change_set)
             assert schema_fingerprint(parallel.schema()) == schema_fingerprint(

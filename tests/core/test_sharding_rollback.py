@@ -12,8 +12,9 @@ import pytest
 
 from repro.core.config import PGHiveConfig
 from repro.core.sharding import ShardedSchemaSession
-from repro.errors import DanglingEdgeError
+from repro.errors import ConfigurationError, DanglingEdgeError
 from repro.graph.changes import ChangeSet
+from repro.graph.columnar import ElementBatch, Interner
 from repro.graph.model import Edge, Node
 
 from tests.core.test_sharding import feed
@@ -79,3 +80,25 @@ def test_rejected_deletions_do_not_commit():
     # The union registry still holds the node the rejected batch asked
     # to delete: deletions commit only after dispatch succeeds.
     assert target in session._registry
+
+
+def test_foreign_interner_after_element_pin_rolls_back():
+    session = ShardedSchemaSession(
+        PGHiveConfig(seed=1), n_shards=2, retain_union=True
+    )
+    # Element inserts convert on the session interner and pin it.
+    session.apply(feed(1)[0])
+    assert session._interner_pinned
+    interner_before = session._interner
+    registry_before = dict(session._registry)
+    foreign = ChangeSet.inserts_columnar(
+        ElementBatch.from_elements(
+            [Node("vY", {"Person"}, {"person_id": 7})], interner=Interner()
+        )
+    )
+    with pytest.raises(ConfigurationError, match="share one Interner"):
+        session.apply(foreign)
+    assert session._interner is interner_before
+    assert session._registry == registry_before
+    assert session.sequence == 1
+    assert len(session.reports) == 1

@@ -12,6 +12,7 @@ from repro.graph.columnar import (
     ElementBatch,
     columnar_changesets_from_rows,
     global_interner,
+    partition_columnar,
 )
 from repro.graph.csv_io import (
     iter_changesets_csv,
@@ -173,7 +174,7 @@ class TestColumnarPartitioning:
         path = self.feed(tmp_path)
         partitioner = HashPartitioner(1)
         for change_set in iter_columnar_changesets_jsonl(path, batch_size=9):
-            parts = partitioner.partition(change_set, {})
+            parts = partition_columnar(partitioner, change_set)
             assert list(parts) == [0]
             nodes, edges = parts[0].columnar.to_elements()
             expected_nodes, expected_edges = change_set.columnar.to_elements()
@@ -184,12 +185,8 @@ class TestColumnarPartitioning:
     def test_partition_ships_cross_shard_stubs(self, tmp_path):
         path = self.feed(tmp_path)
         partitioner = HashPartitioner(3)
-        registry = {}
         for change_set in iter_columnar_changesets_jsonl(path, batch_size=9):
-            batch = change_set.columnar
-            for row, node_id in enumerate(batch.nodes.ids):
-                registry.setdefault(node_id, batch.node_record(row))
-            for shard, part in partitioner.partition(change_set, registry).items():
+            for shard, part in partition_columnar(partitioner, change_set).items():
                 nodes, edges = part.columnar.to_elements()
                 present = {node.node_id for node in nodes}
                 for edge in edges:

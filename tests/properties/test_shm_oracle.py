@@ -40,7 +40,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 SHARD_COUNTS = (1, 2, 4)
-CONFIG = PGHiveConfig(seed=3, infer_keys=True, shard_handoff="shm")
+CONFIG = PGHiveConfig(seed=3, infer_keys=True)
 
 
 def assert_no_leaked_blocks():
@@ -57,8 +57,8 @@ def columnarize(change_sets):
 
     Edges referencing nodes from earlier change-sets ship full stub
     copies (marked in ``stub_node_ids``), exactly as the streaming reader
-    does -- only columnar parts travel through shared memory, so the
-    oracle must feed columnar payloads to exercise the handoff at all.
+    does, so the handoff carries producer-built batches and their stub
+    rows rather than the coordinator's own conversion of element inputs.
     """
     interner = global_interner()
     directory = {}
