@@ -2,9 +2,11 @@
 
 Drives one synthetic columnar insert stream through
 :class:`ShardedSchemaSession` across a variant grid -- shard count x
-dispatch (lockstep ``apply`` vs pipelined ``ingest_stream``) -- and
-reports elements/sec plus the speedup over that variant's own 1-shard
-run.  Process shards use the platform's handoff: zero-copy ``shm`` where
+dispatch window -- and reports elements/sec plus the speedup over that
+variant's own 1-shard run.  Both dispatch variants take the session's
+one stage/finish path: "lockstep" calls ``apply`` per change-set (a
+window of one dispatch), "pipeline" calls ``ingest_stream`` (a window of
+``max(2, n_shards)`` dispatches in flight).  Process shards use the platform's handoff: zero-copy ``shm`` where
 POSIX shared memory works, ``pickle`` otherwise (each row records
 which).  Two measurements ride along:
 

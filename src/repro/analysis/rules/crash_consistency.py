@@ -7,11 +7,11 @@ publishes data only when fsyncs bracket it.  Crash tests probe these
 protocols at record boundaries; these rules prove them over the call
 graph for every code path, including ones no test exercises yet.
 
-``PGL701`` -- WAL-before-apply: in ``apply``/``add_batch`` of
-``DurableSchemaSession``/``DurableShardedSchemaSession`` (or any
-subclass), a session-state mutation or ``super().apply``/``add_batch``
-call must not be reachable before the ``WriteAheadLog.append`` call in
-linearized execution order (the ``_logged_apply`` lambda protocol is
+``PGL701`` -- WAL-before-apply: in ``apply``/``add_batch``/``_stage``
+of ``DurableSchemaSession``/``DurableShardedSchemaSession`` (or any
+subclass), a session-state mutation or ``super()`` call of one of those
+methods must not be reachable before the ``WriteAheadLog.append`` call
+in linearized execution order (the ``_logged_apply`` lambda protocol is
 understood: the wrapped apply runs where the helper invokes it).  Events
 guarded by a ``_replaying`` test are exempt -- replay re-applies records
 already in the log.
@@ -52,8 +52,9 @@ DURABLE_SESSION_CLASSES = frozenset(
     {"DurableSchemaSession", "DurableShardedSchemaSession"}
 )
 
-#: methods forming the durable change feed.
-_FEED_METHODS = frozenset({"apply", "add_batch"})
+#: methods forming the durable change feed (``_stage`` is the one
+#: staging path of the sharded session's ``apply`` and ``ingest_stream``).
+_FEED_METHODS = frozenset({"apply", "add_batch", "_stage"})
 
 #: attribute names that denote the session's write-ahead log.
 _WAL_ATTRS = frozenset({"_wal", "wal"})

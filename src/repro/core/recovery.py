@@ -8,17 +8,22 @@ discovery state is (last consistent snapshot) + (replayed delta log), so
 and a recovered session is *fingerprint-identical* to one that never
 crashed (the crash-recovery oracle pins this at every record boundary).
 
-:class:`DurableSchemaSession` wraps :class:`~repro.core.session.SchemaSession`
-with a directory layout::
+Both durable sessions share one log layer, ``_DurableLog``, with the
+directory layout::
 
     <dir>/wal/wal-<first_sequence>.seg   append-only changeset log
-    <dir>/checkpoint-<sequence>.ckpt     atomic digest-verified snapshots
+    <dir>/checkpoint-<sequence>[.ckpt]   atomic digest-verified snapshots
 
-Every :meth:`apply`/:meth:`add_batch` first appends the change-set's
-wire encoding (:meth:`~repro.graph.changes.ChangeSet.to_wire`) to the
-WAL under the sequence number the apply will get, *then* mutates state
--- so after a crash the log is always at least as new as memory ever
-was.  :meth:`checkpoint` snapshots the full state, keeps the
+Each session logs in exactly one place: :class:`DurableSchemaSession`
+in :meth:`~DurableSchemaSession.apply`/``add_batch``, and
+:class:`DurableShardedSchemaSession` in ``_stage``, the one staging path
+its ``apply`` and pipelined ``ingest_stream`` both take.  The record is
+the change-set's wire encoding
+(:meth:`~repro.graph.changes.ChangeSet.to_wire`) under the sequence
+number the apply will get, appended *before* state mutates -- so after
+a crash the log is always at least as new as memory ever was.
+``checkpoint()`` snapshots the full state (a ``.ckpt`` file, or a
+manifest directory for the sharded session), keeps the
 ``keep_checkpoints`` newest snapshots so a corrupt newest checkpoint
 still leaves an older one to fall back to (with correspondingly more
 WAL to replay), and prunes only WAL segments that even the *oldest
@@ -26,20 +31,15 @@ retained* snapshot no longer needs -- pruning to the newest snapshot
 would leave a replay gap under exactly the fallback the retention
 bound exists for.
 
-:meth:`DurableSchemaSession.recover` (also reachable as
-``SchemaSession.recover``) walks checkpoints newest-first, restores the
-first one that verifies, replays the WAL strictly after the restored
-stream position, and resumes logging.  A torn final WAL record is
-dropped by the log itself; the half-applied change-set it belonged to
-was never acknowledged, so the producer re-feeds it and the outcome
-matches the uncrashed run.
-
-:class:`DurableShardedSchemaSession` is the same construction over
-:class:`~repro.core.sharding.ShardedSchemaSession`: one parent-level WAL
-(workers never log) and one manifest-checkpoint *directory* per
-snapshot.  Combined with the sharded session's worker fault tolerance
-this survives both whole-process crashes (WAL) and individual worker
-deaths (retry/degrade).
+``recover()`` (also reachable as ``SchemaSession.recover``) walks
+checkpoints newest-first, restores the first one that verifies, replays
+the WAL strictly after the restored stream position, and resumes
+logging.  A torn final WAL record is dropped by the log itself; the
+half-applied change-set it belonged to was never acknowledged, so the
+producer re-feeds it and the outcome matches the uncrashed run.  For
+the sharded session, workers never log; combined with its worker fault
+tolerance this survives both whole-process crashes (WAL) and individual
+worker deaths (retry/degrade).
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from __future__ import annotations
 import re
 import shutil
 from pathlib import Path
+from typing import Self
 
-from repro.core.config import PGHiveConfig
 from repro.core.durability import WriteAheadLog
 from repro.core.session import ChangeReport, SchemaSession
-from repro.core.sharding import ShardedChangeReport, ShardedSchemaSession
+from repro.core.sharding import ShardedSchemaSession
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -69,45 +69,10 @@ _KIND_CHANGESET = b"C"
 #: an empty first batch still fits the preprocessor).
 _KIND_BATCH = b"B"
 
-_CHECKPOINT_FILE_RE = re.compile(r"^checkpoint-(\d{12})\.ckpt$")
-_CHECKPOINT_DIR_RE = re.compile(r"^checkpoint-(\d{12})$")
+#: Internal checkpoint name: a ``.ckpt`` file (single session) or a
+#: manifest directory without suffix (sharded session).
+_CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{12})(\.ckpt)?$")
 _WAL_DIR = "wal"
-
-
-def _checkpoint_candidates(
-    directory: Path, pattern: re.Pattern, want_dir: bool
-) -> list[Path]:
-    """Internal checkpoint paths under ``directory``, newest first."""
-    found = [
-        path
-        for path in directory.iterdir()
-        if pattern.match(path.name) and path.is_dir() == want_dir
-    ]
-    return sorted(found, reverse=True)
-
-
-def _has_durable_state(
-    directory: Path, pattern: re.Pattern, want_dir: bool
-) -> bool:
-    if not directory.is_dir():
-        return False
-    if _checkpoint_candidates(directory, pattern, want_dir):
-        return True
-    wal_dir = directory / _WAL_DIR
-    return wal_dir.is_dir() and any(wal_dir.glob("wal-*.seg"))
-
-
-def _oldest_retained_sequence(
-    directory: Path, pattern: re.Pattern, want_dir: bool
-) -> int:
-    """Sequence of the oldest internal checkpoint still on disk.
-
-    This is the WAL pruning horizon: recovery may fall back past a
-    corrupt newer checkpoint all the way to this one, so every record
-    after it must stay replayable.
-    """
-    candidates = _checkpoint_candidates(directory, pattern, want_dir)
-    return int(pattern.match(candidates[-1].name).group(1))
 
 
 def _logged_apply(session, kind: bytes, change_set: ChangeSet, run):
@@ -130,256 +95,6 @@ def _logged_apply(session, kind: bytes, change_set: ChangeSet, run):
         raise
 
 
-def _replay_wal_records(session) -> None:
-    """Apply every WAL record strictly after the restored position.
-
-    A record the session *rejects* (a :class:`ReproError` that is not a
-    WAL failure) is tolerated only as the final record of the log: that
-    is the signature of a crash between the append and its rollback,
-    and the change-set was never acknowledged, so it is dropped.  The
-    same rejection earlier in the log is real divergence and re-raises.
-    """
-    session._replaying = True
-    try:
-        expected = session._sequence
-        for sequence, payload in session._wal.replay(after=session._sequence):
-            if sequence != expected + 1:
-                raise WALCorruptError(
-                    f"WAL replay expected sequence {expected + 1}, "
-                    f"found {sequence} (segments missing?)"
-                )
-            try:
-                _replay_record(session, payload)
-            except WALError:
-                raise
-            except ReproError:
-                if sequence == session._wal.last_sequence:
-                    session._wal.drop_tail_record(sequence)
-                    break
-                raise
-            expected = sequence
-    finally:
-        session._replaying = False
-
-
-class DurableSchemaSession(SchemaSession):
-    """A :class:`SchemaSession` whose change feed survives crashes.
-
-    ``fsync`` picks the WAL durability policy (``"always"``/``"batch"``/
-    ``"off"``); ``keep_checkpoints`` bounds how many snapshots stay on
-    disk (>= 1; more snapshots mean more corruption fallback depth at
-    more disk cost).  Construct on a *fresh* directory; for one that
-    already holds durable state use :meth:`recover`.
-    """
-
-    def __init__(
-        self,
-        directory: str | Path,
-        config: PGHiveConfig | None = None,
-        schema_name: str = "session-schema",
-        *,
-        fsync: str = "batch",
-        wal_batch_every: int = 8,
-        wal_segment_bytes: int = 8 * 1024 * 1024,
-        keep_checkpoints: int = 2,
-        retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
-        _resume: bool = False,
-    ) -> None:
-        if keep_checkpoints < 1:
-            raise ConfigurationError(
-                f"keep_checkpoints must be >= 1, got {keep_checkpoints}"
-            )
-        directory = Path(directory)
-        if not _resume and _has_durable_state(
-            directory, _CHECKPOINT_FILE_RE, want_dir=False
-        ):
-            raise ConfigurationError(
-                f"{directory} already holds durable session state; resume "
-                "it with SchemaSession.recover(...) instead of constructing "
-                "a fresh session over it"
-            )
-        directory.mkdir(parents=True, exist_ok=True)
-        super().__init__(
-            config,
-            schema_name=schema_name,
-            retain_union=retain_union,
-            streaming_postprocess=streaming_postprocess,
-            track_keys=track_keys,
-        )
-        self.directory = directory
-        self.keep_checkpoints = int(keep_checkpoints)
-        self._replaying = False
-        self._wal = WriteAheadLog(
-            directory / _WAL_DIR,
-            fsync=fsync,
-            batch_every=wal_batch_every,
-            segment_bytes=wal_segment_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    # Logged change feed
-    # ------------------------------------------------------------------
-    @property
-    def wal(self) -> WriteAheadLog:
-        """The session's write-ahead log (benchmarks introspect this)."""
-        return self._wal
-
-    def apply(self, change_set: ChangeSet) -> ChangeReport:
-        if self._replaying:
-            return super().apply(change_set)
-        return _logged_apply(
-            self,
-            _KIND_CHANGESET,
-            change_set,
-            lambda: super(DurableSchemaSession, self).apply(change_set),
-        )
-
-    def add_batch(self, batch: PropertyGraph) -> ChangeReport:
-        if self._replaying:
-            return super().add_batch(batch)
-        return _logged_apply(
-            self,
-            _KIND_BATCH,
-            ChangeSet.from_graph(batch),
-            lambda: super(DurableSchemaSession, self).add_batch(batch),
-        )
-
-    # ------------------------------------------------------------------
-    # Checkpoints (pruning variants of the base implementation)
-    # ------------------------------------------------------------------
-    def checkpoint(self, path: str | Path | None = None) -> Path:
-        """Snapshot state; prune the WAL and old snapshots it obsoletes.
-
-        Without ``path`` the snapshot lands in the session directory as
-        ``checkpoint-<sequence>.ckpt`` and participates in recovery,
-        WAL pruning, and the ``keep_checkpoints`` retention bound.  The
-        WAL is pruned only up to the *oldest retained* snapshot, so
-        falling back past a corrupt newer one always finds its replay
-        suffix intact.  An explicit external ``path`` writes a plain
-        portable checkpoint and prunes nothing.
-        """
-        self._wal.sync()  # never prune segments ahead of the disk state
-        if path is None:
-            target = self.directory / f"checkpoint-{self._sequence:012d}.ckpt"
-            super().checkpoint(target)
-            self._prune_checkpoints()
-            self._wal.prune(
-                _oldest_retained_sequence(
-                    self.directory, _CHECKPOINT_FILE_RE, want_dir=False
-                )
-            )
-            return target
-        return super().checkpoint(Path(path))
-
-    def _prune_checkpoints(self) -> None:
-        candidates = _checkpoint_candidates(
-            self.directory, _CHECKPOINT_FILE_RE, want_dir=False
-        )
-        for stale in candidates[self.keep_checkpoints :]:
-            stale.unlink(missing_ok=True)
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    @classmethod
-    def recover(
-        cls,
-        directory: str | Path,
-        *,
-        fsync: str = "batch",
-        wal_batch_every: int = 8,
-        wal_segment_bytes: int = 8 * 1024 * 1024,
-        keep_checkpoints: int = 2,
-        config: PGHiveConfig | None = None,
-        schema_name: str = "session-schema",
-        retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
-    ) -> "DurableSchemaSession":
-        """Resume a durable session: newest valid checkpoint + WAL replay.
-
-        Checkpoints are tried newest-first; a corrupt one is skipped in
-        favour of an older one (the WAL then replays further back).  If
-        every existing checkpoint fails verification, a
-        :class:`CheckpointError` aggregating the failures is raised --
-        recovery never silently restarts from scratch when snapshots
-        exist.  ``config``/``schema_name``/feature flags apply only when
-        the directory has no checkpoint at all (WAL-only recovery of a
-        session that never checkpointed).
-        """
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise CheckpointError(
-                f"cannot recover from {directory}: no such directory"
-            )
-        base = None
-        failures: list[str] = []
-        for candidate in _checkpoint_candidates(
-            directory, _CHECKPOINT_FILE_RE, want_dir=False
-        ):
-            try:
-                base = SchemaSession.restore(candidate)
-                break
-            except CheckpointError as error:
-                failures.append(f"{candidate.name}: {error}")
-        if base is None and failures:
-            raise CheckpointError(
-                "no checkpoint under "
-                f"{directory} could be restored: " + "; ".join(failures)
-            )
-        if base is not None:
-            session = cls(
-                directory,
-                base.config,
-                schema_name=base.schema_name,
-                fsync=fsync,
-                wal_batch_every=wal_batch_every,
-                wal_segment_bytes=wal_segment_bytes,
-                keep_checkpoints=keep_checkpoints,
-                retain_union=base._retain_union,
-                streaming_postprocess=base._streaming,
-                track_keys=base._track_keys,
-                _resume=True,
-            )
-            session._adopt_state(base._dstate)
-            session.reports = base.reports
-            session._timer = base._timer
-            session._result = base._result
-        else:
-            session = cls(
-                directory,
-                config,
-                schema_name=schema_name,
-                fsync=fsync,
-                wal_batch_every=wal_batch_every,
-                wal_segment_bytes=wal_segment_bytes,
-                keep_checkpoints=keep_checkpoints,
-                retain_union=retain_union,
-                streaming_postprocess=streaming_postprocess,
-                track_keys=track_keys,
-                _resume=True,
-            )
-        session._replay_wal()
-        return session
-
-    def _replay_wal(self) -> None:
-        """Apply every WAL record strictly after the restored position."""
-        _replay_wal_records(self)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Seal the WAL (flush + fsync its open segment)."""
-        self._wal.close()
-
-    def __enter__(self) -> "DurableSchemaSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _replay_record(session, payload: bytes) -> None:
@@ -401,64 +116,46 @@ def _replay_record(session, payload: bytes) -> None:
         )
 
 
-class DurableShardedSchemaSession(ShardedSchemaSession):
-    """A :class:`ShardedSchemaSession` with a parent-level WAL.
+class _DurableLog:
+    """The log layer both durable sessions share.
 
-    Change-sets are logged once, *before* partitioning, in the parent
-    process -- whether they arrive through :meth:`apply` or a pipelined
-    :meth:`ingest_stream` -- and workers never touch the log.
-    Checkpoints are manifest directories ``checkpoint-<sequence>/``
-    under the session directory.
-    Worker deaths are handled by the base class's retry/degrade
-    machinery; this class adds whole-process crash recovery on top.
+    It owns the session directory and its write-ahead log, internal
+    checkpoints with their retention bound and WAL pruning horizon, the
+    newest-valid-checkpoint recovery walk, and WAL replay.  It precedes
+    the in-memory session class in the MRO: ``__init__`` validates the
+    log options and the directory before the session is built and
+    forwards every other argument to it, and ``close`` seals the log
+    before the session releases its own resources.  ``_checkpoint_dirs``
+    picks the internal checkpoint kind: ``.ckpt`` files or manifest
+    directories.
     """
+
+    _checkpoint_dirs = False
 
     def __init__(
         self,
         directory: str | Path,
-        config: PGHiveConfig | None = None,
-        schema_name: str = "sharded-schema",
-        *,
-        n_shards: int = 4,
-        parallel: bool = False,
+        *args,
         fsync: str = "batch",
         wal_batch_every: int = 8,
         wal_segment_bytes: int = 8 * 1024 * 1024,
         keep_checkpoints: int = 2,
-        retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
-        max_shard_retries: int = 2,
-        retry_backoff: float = 0.05,
-        resync_every: int = 64,
         _resume: bool = False,
+        **kwargs,
     ) -> None:
         if keep_checkpoints < 1:
             raise ConfigurationError(
                 f"keep_checkpoints must be >= 1, got {keep_checkpoints}"
             )
         directory = Path(directory)
-        if not _resume and _has_durable_state(
-            directory, _CHECKPOINT_DIR_RE, want_dir=True
-        ):
+        if not _resume and self._holds_durable_state(directory):
             raise ConfigurationError(
                 f"{directory} already holds durable session state; resume "
-                "it with DurableShardedSchemaSession.recover(...) instead "
-                "of constructing a fresh session over it"
+                f"it with {type(self).__name__}.recover(...) instead of "
+                "constructing a fresh session over it"
             )
         directory.mkdir(parents=True, exist_ok=True)
-        super().__init__(
-            config,
-            schema_name=schema_name,
-            n_shards=n_shards,
-            parallel=parallel,
-            retain_union=retain_union,
-            streaming_postprocess=streaming_postprocess,
-            track_keys=track_keys,
-            max_shard_retries=max_shard_retries,
-            retry_backoff=retry_backoff,
-            resync_every=resync_every,
-        )
+        super().__init__(*args, **kwargs)
         self.directory = directory
         self.keep_checkpoints = int(keep_checkpoints)
         self._replaying = False
@@ -469,99 +166,77 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
             segment_bytes=wal_segment_bytes,
         )
 
-    # ------------------------------------------------------------------
-    # Logged change feed (add_batch routes through apply in the base)
-    # ------------------------------------------------------------------
     @property
     def wal(self) -> WriteAheadLog:
-        """The session's write-ahead log."""
+        """The session's write-ahead log (benchmarks introspect this)."""
         return self._wal
 
-    def apply(self, change_set: ChangeSet) -> ShardedChangeReport:
-        if self._replaying:
-            return super().apply(change_set)
-        return _logged_apply(
-            self,
-            _KIND_CHANGESET,
-            change_set,
-            lambda: super(DurableShardedSchemaSession, self).apply(change_set),
-        )
-
-    def _stage_pipelined(self, change_set: ChangeSet):
-        # Parallel ingest_stream stages change-sets here rather than
-        # through apply; log each one before it is staged, exactly as
-        # apply does, so the pipelined feed is as durable as lockstep.
-        if self._replaying:
-            return super()._stage_pipelined(change_set)
-        return _logged_apply(
-            self,
-            _KIND_CHANGESET,
-            change_set,
-            lambda: super(
-                DurableShardedSchemaSession, self
-            )._stage_pipelined(change_set),
-        )
-
     # ------------------------------------------------------------------
-    # Checkpoints
+    # Internal checkpoints
     # ------------------------------------------------------------------
-    def checkpoint(self, directory: str | Path | None = None) -> Path:
-        """Write a manifest checkpoint; prune WAL and stale snapshots.
+    @classmethod
+    def _checkpoints(cls, directory: Path) -> list[Path]:
+        """Internal checkpoints under ``directory``, newest first."""
+        suffix = "" if cls._checkpoint_dirs else ".ckpt"
+        found = [
+            path
+            for path in directory.iterdir()
+            if _CHECKPOINT_RE.match(path.stem)
+            and path.suffix == suffix
+            and path.is_dir() == cls._checkpoint_dirs
+        ]
+        return sorted(found, reverse=True)
 
-        Same contract as the single-session variant: no argument means
-        an internal ``checkpoint-<sequence>/`` directory that recovery,
-        WAL pruning, and retention manage (pruning stops at the oldest
-        retained manifest so fallback replay never hits a gap); an
-        explicit path writes a plain portable manifest checkpoint.
+    @classmethod
+    def _holds_durable_state(cls, directory: Path) -> bool:
+        if not directory.is_dir():
+            return False
+        if cls._checkpoints(directory):
+            return True
+        wal_dir = directory / _WAL_DIR
+        return wal_dir.is_dir() and any(wal_dir.glob("wal-*.seg"))
+
+    def _checkpoint(self, path: str | Path | None, write) -> Path:
+        """Snapshot state through ``write``; prune what it obsoletes.
+
+        Without ``path`` the snapshot lands in the session directory as
+        ``checkpoint-<sequence>`` and participates in recovery, WAL
+        pruning, and the ``keep_checkpoints`` retention bound.  The WAL
+        is pruned only up to the *oldest retained* snapshot: recovery
+        may fall back past a corrupt newer one all the way to it, so
+        every record after it must stay replayable.  An explicit
+        external ``path`` writes a plain portable checkpoint and prunes
+        nothing.
         """
-        self._wal.sync()
-        if directory is None:
-            target = self.directory / f"checkpoint-{self._sequence:012d}"
-            super().checkpoint(target)
-            self._prune_checkpoints()
-            self._wal.prune(
-                _oldest_retained_sequence(
-                    self.directory, _CHECKPOINT_DIR_RE, want_dir=True
-                )
-            )
-            return target
-        return super().checkpoint(Path(directory))
-
-    def _prune_checkpoints(self) -> None:
-        candidates = _checkpoint_candidates(
-            self.directory, _CHECKPOINT_DIR_RE, want_dir=True
-        )
-        for stale in candidates[self.keep_checkpoints :]:
-            shutil.rmtree(stale, ignore_errors=True)
+        self._wal.sync()  # never prune segments ahead of the disk state
+        if path is not None:
+            return write(Path(path))
+        suffix = "" if self._checkpoint_dirs else ".ckpt"
+        target = self.directory / f"checkpoint-{self._sequence:012d}{suffix}"
+        write(target)
+        for stale in self._checkpoints(self.directory)[self.keep_checkpoints :]:
+            if self._checkpoint_dirs:
+                shutil.rmtree(stale, ignore_errors=True)
+            else:
+                stale.unlink(missing_ok=True)
+        oldest = self._checkpoints(self.directory)[-1]
+        self._wal.prune(int(_CHECKPOINT_RE.match(oldest.stem).group(1)))
+        return target
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
     @classmethod
-    def recover(
-        cls,
-        directory: str | Path,
-        *,
-        parallel: bool | None = None,
-        fsync: str = "batch",
-        wal_batch_every: int = 8,
-        wal_segment_bytes: int = 8 * 1024 * 1024,
-        keep_checkpoints: int = 2,
-        config: PGHiveConfig | None = None,
-        schema_name: str = "sharded-schema",
-        n_shards: int = 4,
-        retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
-        max_shard_retries: int = 2,
-        retry_backoff: float = 0.05,
-        resync_every: int = 64,
-    ) -> "DurableShardedSchemaSession":
-        """Sharded analogue of :meth:`DurableSchemaSession.recover`.
+    def _recover(cls, directory: str | Path, restore, options: dict):
+        """Restore the newest valid checkpoint, then replay the WAL.
 
-        ``parallel`` overrides the restored execution mode; the shape
-        parameters (``config``/``n_shards``/flags) apply only when no
-        checkpoint exists yet (WAL-only recovery).
+        Checkpoints are tried newest-first through ``restore``; a
+        corrupt one is skipped in favour of an older one (the WAL then
+        replays further back).  If every existing checkpoint fails
+        verification, a :class:`CheckpointError` aggregating the
+        failures is raised -- recovery never silently restarts from
+        scratch when snapshots exist.  ``options`` are constructor
+        keywords; a restored checkpoint's own shape overrides them.
         """
         directory = Path(directory)
         if not directory.is_dir():
@@ -570,13 +245,9 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
             )
         base = None
         failures: list[str] = []
-        for candidate in _checkpoint_candidates(
-            directory, _CHECKPOINT_DIR_RE, want_dir=True
-        ):
+        for candidate in cls._checkpoints(directory):
             try:
-                base = ShardedSchemaSession.restore(
-                    candidate, parallel=parallel
-                )
+                base = restore(candidate)
                 break
             except CheckpointError as error:
                 failures.append(f"{candidate.name}: {error}")
@@ -586,46 +257,198 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
                 f"{directory} could be restored: " + "; ".join(failures)
             )
         if base is not None:
-            session = cls(
-                directory,
-                base.config,
-                schema_name=base.schema_name,
-                n_shards=base.n_shards,
-                parallel=base.parallel,
-                fsync=fsync,
-                wal_batch_every=wal_batch_every,
-                wal_segment_bytes=wal_segment_bytes,
-                keep_checkpoints=keep_checkpoints,
-                retain_union=base._retain_union,
-                streaming_postprocess=base._streaming,
-                track_keys=base._track_keys,
-                max_shard_retries=max_shard_retries,
-                retry_backoff=retry_backoff,
-                resync_every=resync_every,
-                _resume=True,
-            )
+            options = {**options, **cls._restored_options(base)}
+        session = cls(directory, **options, _resume=True)
+        if base is not None:
             session._adopt_restored(base)
-        else:
-            session = cls(
-                directory,
-                config,
-                schema_name=schema_name,
-                n_shards=n_shards,
-                parallel=bool(parallel),
-                fsync=fsync,
-                wal_batch_every=wal_batch_every,
-                wal_segment_bytes=wal_segment_bytes,
-                keep_checkpoints=keep_checkpoints,
-                retain_union=retain_union,
-                streaming_postprocess=streaming_postprocess,
-                track_keys=track_keys,
-                max_shard_retries=max_shard_retries,
-                retry_backoff=retry_backoff,
-                resync_every=resync_every,
-                _resume=True,
-            )
         session._replay_wal()
         return session
+
+    @classmethod
+    def _restored_options(cls, base) -> dict:
+        """Constructor options that reproduce a restored session."""
+        return {
+            "config": base.config,
+            "schema_name": base.schema_name,
+            "retain_union": base._retain_union,
+            "streaming_postprocess": base._streaming,
+            "track_keys": base._track_keys,
+        }
+
+    def _replay_wal(self) -> None:
+        """Apply every WAL record strictly after the restored position.
+
+        A record the session *rejects* (a :class:`ReproError` that is not
+        a WAL failure) is tolerated only as the final record of the log:
+        that is the signature of a crash between the append and its
+        rollback, and the change-set was never acknowledged, so it is
+        dropped.  The same rejection earlier in the log is real
+        divergence and re-raises.
+        """
+        self._replaying = True
+        try:
+            expected = self._sequence
+            for sequence, payload in self._wal.replay(after=self._sequence):
+                if sequence != expected + 1:
+                    raise WALCorruptError(
+                        f"WAL replay expected sequence {expected + 1}, "
+                        f"found {sequence} (segments missing?)"
+                    )
+                try:
+                    _replay_record(self, payload)
+                except WALError:
+                    raise
+                except ReproError:
+                    if sequence == self._wal.last_sequence:
+                        self._wal.drop_tail_record(sequence)
+                        break
+                    raise
+                expected = sequence
+        finally:
+            self._replaying = False
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Seal the WAL (flush + fsync its open segment), then let the
+        session release its own resources (worker pools)."""
+        self._wal.close()
+        session_close = getattr(super(), "close", None)
+        if session_close is not None:
+            session_close()
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class DurableSchemaSession(_DurableLog, SchemaSession):
+    """A :class:`SchemaSession` whose change feed survives crashes.
+
+    Takes the session ``directory``, every :class:`SchemaSession`
+    argument, and the log options: ``fsync`` picks the WAL durability
+    policy (``"always"``/``"batch"``/``"off"``), ``wal_batch_every`` and
+    ``wal_segment_bytes`` tune the log, and ``keep_checkpoints`` bounds
+    how many snapshots stay on disk (>= 1; more snapshots mean more
+    corruption fallback depth at more disk cost).  Construct on a
+    *fresh* directory; for one that already holds durable state use
+    :meth:`recover`.
+    """
+
+    def apply(self, change_set: ChangeSet) -> ChangeReport:
+        if self._replaying:
+            return super().apply(change_set)
+        return _logged_apply(
+            self,
+            _KIND_CHANGESET,
+            change_set,
+            lambda: super(DurableSchemaSession, self).apply(change_set),
+        )
+
+    def add_batch(self, batch: PropertyGraph) -> ChangeReport:
+        if self._replaying:
+            return super().add_batch(batch)
+        return _logged_apply(
+            self,
+            _KIND_BATCH,
+            ChangeSet.from_graph(batch),
+            lambda: super(DurableSchemaSession, self).add_batch(batch),
+        )
+
+    def checkpoint(self, path: str | Path | None = None) -> Path:
+        """Snapshot state; prune the WAL and old snapshots it obsoletes.
+
+        Without ``path`` the snapshot is an internal
+        ``checkpoint-<sequence>.ckpt`` file in the session directory;
+        with one it is a plain portable checkpoint (see
+        ``_DurableLog._checkpoint``).
+        """
+        return self._checkpoint(path, super().checkpoint)
+
+    @classmethod
+    def recover(cls, directory: str | Path, **options) -> "DurableSchemaSession":
+        """Resume a durable session: newest valid checkpoint + WAL replay.
+
+        ``options`` are constructor keywords.  The log options always
+        apply; ``config``/``schema_name``/feature flags apply only when
+        the directory has no checkpoint at all (WAL-only recovery of a
+        session that never checkpointed).
+        """
+        return cls._recover(directory, SchemaSession.restore, options)
+
+    def _adopt_restored(self, base: SchemaSession) -> None:
+        """Take over a restored base session's state and history."""
+        self._adopt_state(base._dstate)
+        self.reports = base.reports
+        self._timer = base._timer
+        self._result = base._result
+
+
+class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
+    """A :class:`ShardedSchemaSession` with a parent-level WAL.
+
+    Every change-set -- from :meth:`apply`, :meth:`add_batch` or
+    :meth:`ingest_stream` -- is logged once, in ``_stage``, *before* it
+    is partitioned, in the parent process; workers never touch the log.
+    Takes the session ``directory``, every :class:`ShardedSchemaSession`
+    argument, and the log options of :class:`DurableSchemaSession`.
+    Checkpoints are manifest directories ``checkpoint-<sequence>/``
+    under the session directory.  Worker deaths are handled by the base
+    class's retry/degrade machinery; this class adds whole-process crash
+    recovery on top.
+    """
+
+    _checkpoint_dirs = True
+
+    # Inherited unchanged (logging happens in ``_stage``), but bound in
+    # this class body: perfbench's tracer patches
+    # ``cls.__dict__["apply"]`` of every durable session class.
+    apply = ShardedSchemaSession.apply
+
+    def _stage(self, change_set: ChangeSet):
+        if self._replaying:
+            return super()._stage(change_set)
+        return _logged_apply(
+            self,
+            _KIND_CHANGESET,
+            change_set,
+            lambda: super(DurableShardedSchemaSession, self)._stage(change_set),
+        )
+
+    def checkpoint(self, directory: str | Path | None = None) -> Path:
+        """Write a manifest checkpoint; prune WAL and stale snapshots.
+
+        Same contract as :meth:`DurableSchemaSession.checkpoint`, with
+        an internal ``checkpoint-<sequence>/`` manifest directory.
+        """
+        return self._checkpoint(directory, super().checkpoint)
+
+    @classmethod
+    def recover(
+        cls, directory: str | Path, *, parallel: bool | None = None, **options
+    ) -> "DurableShardedSchemaSession":
+        """Sharded analogue of :meth:`DurableSchemaSession.recover`.
+
+        ``parallel`` overrides the restored execution mode; the shape
+        options (``config``/``n_shards``/flags) apply only when no
+        checkpoint exists yet (WAL-only recovery).
+        """
+        return cls._recover(
+            directory,
+            lambda path: ShardedSchemaSession.restore(path, parallel=parallel),
+            {**options, "parallel": bool(parallel)},
+        )
+
+    @classmethod
+    def _restored_options(cls, base) -> dict:
+        return {
+            **super()._restored_options(base),
+            "n_shards": base.n_shards,
+            "parallel": base.parallel,
+        }
 
     def _adopt_restored(self, base: ShardedSchemaSession) -> None:
         """Transplant a restored base session's live innards.
@@ -648,15 +471,3 @@ class DurableShardedSchemaSession(ShardedSchemaSession):
         self._degraded = base._degraded
         base._pools = None
         base._shards = None
-
-    def _replay_wal(self) -> None:
-        """Apply every WAL record strictly after the restored position."""
-        _replay_wal_records(self)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Seal the WAL and shut down worker pools."""
-        self._wal.close()
-        super().close()

@@ -106,6 +106,11 @@ MANIFEST_MAGIC = b"pghive-sharded-checkpoint"
 MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest.ckpt"
 
+#: Pending-replay length at which a parallel shard's state is fetched
+#: eagerly, bounding how many parts a pool restart must resubmit on an
+#: unread feed.
+RESYNC_EVERY = 64
+
 
 @dataclass(frozen=True)
 class ShardedChangeReport:
@@ -242,9 +247,9 @@ class _PreparedChange:
     """Coordinator-side effects of one change-set, staged for dispatch.
 
     ``_prepare`` seeds the registry/signature stores and partitions;
-    dispatch failure rolls the seeds back through ``_rollback``;
-    success commits deletions and the sequence bump.  Splitting the
-    phases this way lets :meth:`ShardedSchemaSession.ingest_stream`
+    a failed submission rolls the seeds back through ``_rollback``; a
+    successful one commits deletions and the sequence bump.  Splitting
+    the phases this way lets :meth:`ShardedSchemaSession.ingest_stream`
     overlap the dispatch of several change-sets.
     """
 
@@ -295,7 +300,6 @@ class ShardedSchemaSession:
         track_keys: bool | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
-        resync_every: int = 64,
     ) -> None:
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
@@ -306,10 +310,6 @@ class ShardedSchemaSession:
         if retry_backoff < 0:
             raise ConfigurationError(
                 f"retry_backoff must be >= 0, got {retry_backoff}"
-            )
-        if resync_every < 1:
-            raise ConfigurationError(
-                f"resync_every must be >= 1, got {resync_every}"
             )
         self.config = config or PGHiveConfig()
         self.schema_name = schema_name
@@ -368,7 +368,6 @@ class ShardedSchemaSession:
         # degrade the shard to an in-process session, never silently.
         self.max_shard_retries = int(max_shard_retries)
         self.retry_backoff = float(retry_backoff)
-        self.resync_every = int(resync_every)
         #: structured journal of every worker fault handled.
         self.fault_events: list[ShardFaultEvent] = []
         self._pending: list[list[ChangeSet]] = [
@@ -384,7 +383,7 @@ class ShardedSchemaSession:
         )
         self._shm_registry = global_shm_registry()
         #: futures submitted to each shard's pool and not yet collected
-        #: (pipelined mode keeps several in flight per shard).
+        #: (the ingest_stream window keeps several in flight per shard).
         self._shard_inflight = [0] * self.n_shards
         if not self.parallel:
             self._shards = [
@@ -475,17 +474,10 @@ class ShardedSchemaSession:
         Element inserts convert to columnar first; change-sets partition
         over the batch's id column and the per-shard sub-change-sets stay
         columnar, so every shard ingests through the zero-copy path.
+        This is :meth:`ingest_stream` with a window of one: the same
+        stage/finish path, collected before returning.
         """
-        prepared = self._prepare(change_set)
-        start = time.perf_counter()  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
-        try:
-            shard_reports = self._dispatch(prepared.parts)
-        except Exception:
-            self._rollback(prepared)
-            raise
-        seconds = time.perf_counter() - start  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
-        sequence = self._commit_coordinator(prepared)
-        return self._build_report(prepared, sequence, shard_reports, seconds)
+        return self._finish(*self._stage(change_set))
 
     def _prepare(self, change_set: ChangeSet) -> _PreparedChange:
         """Stage one change-set: seed registry/signatures and partition.
@@ -622,13 +614,12 @@ class ShardedSchemaSession:
     def _commit_coordinator(self, prepared: _PreparedChange) -> int:
         """Commit coordinator effects; returns the sequence number.
 
-        Union-registry deletions commit only once the parts reached
-        their shards (after dispatch in :meth:`apply`, at submission in
-        :meth:`ingest_stream` -- either way, before the next change-set
+        Union-registry deletions commit only once the parts were
+        submitted to their shards (and before the next change-set
         partitions, which keeps the registry serial-equivalent), so a
-        rejected batch cannot leave the registry missing nodes the
-        shards still hold.  The signature decrement reads the registry
-        entry before it is dropped.
+        batch rejected at staging or submission cannot leave the
+        registry missing nodes the shards still hold.  The signature
+        decrement reads the registry entry before it is dropped.
         """
         for node_id in prepared.deleted_nodes:
             self._signatures.remove(
@@ -671,11 +662,6 @@ class ShardedSchemaSession:
         return self._interner.intern_element_signature(
             labelset_id, keyset_id, value_shapes(values)
         )
-
-    def _dispatch(
-        self, parts: dict[int, ChangeSet]
-    ) -> tuple[tuple[int, ChangeReport], ...]:
-        return self._collect_dispatch(self._submit_parts(parts))
 
     def _submit_parts(self, parts: dict[int, ChangeSet]) -> _InflightDispatch:
         """Ship one change-set's parts to their shards without waiting.
@@ -724,7 +710,7 @@ class ShardedSchemaSession:
         """Wait for one dispatch and fold in crash recovery.
 
         A shard may have degraded between this dispatch's submission and
-        now (an earlier pipelined dispatch exhausted its retries); its
+        now (an earlier dispatch of the window exhausted its retries); its
         broken future then lands in ``failed`` and the part replays on
         the degraded in-process session instead of the recovery path.
         Shared-memory blocks release unconditionally -- the creator-side
@@ -759,39 +745,31 @@ class ShardedSchemaSession:
         return tuple(sorted(reports.items()))
 
     def ingest_stream(
-        self,
-        change_sets: Iterable[ChangeSet],
-        *,
-        max_inflight: int | None = None,
+        self, change_sets: Iterable[ChangeSet]
     ) -> list[ShardedChangeReport]:
         """Apply a whole change feed with pipelined shard dispatch.
 
-        Serial mode applies the feed change-set by change-set (there is
-        nothing to overlap).  Parallel mode overlaps the coordinator
-        stages of later change-sets -- partitioning, registry seeding,
-        shared-memory encoding -- with shard workers still ingesting
-        earlier ones: each change-set's coordinator effects commit at
-        submission (so the next change-set partitions against the exact
-        serial-equivalent registry), while worker results are collected
-        through a bounded window of ``max_inflight`` dispatches for
+        Each change-set is staged -- partitioned, registry-seeded,
+        encoded for its workers, submitted -- while shard workers still
+        ingest earlier ones; its coordinator effects commit at
+        submission, so the next change-set partitions against the exact
+        serial-equivalent registry.  Results are collected through a
+        bounded window of ``max(2, n_shards)`` dispatches for
         backpressure.  Single-worker pools apply each shard's parts in
-        submission order, so per-shard state is identical to lockstep
-        :meth:`apply` calls; reports come back in feed order.
+        submission order, so per-shard state is identical to one
+        :meth:`apply` call per change-set; reports come back in feed
+        order.  Serial shards apply at submission, so in serial mode the
+        window only holds dispatches that already finished.
 
-        Unlike :meth:`apply`, a change-set rejected *worker-side* after
-        its submission cannot roll the coordinator back (later
-        change-sets already partitioned against it); the error still
-        surfaces.  Coordinator-side rejection (the common class) is
-        detected at staging and rolls back exactly like :meth:`apply`.
+        Coordinator-side rejection (a dangling edge, a foreign interner,
+        deletions without ``retain_union``) is detected at staging and
+        rolls back before anything commits.  A worker-side exception
+        after submission cannot roll the coordinator back -- here and in
+        :meth:`apply` alike -- but the error still surfaces.  Parts reach
+        their workers endpoint-complete and already validated, so no
+        known input takes that path.
         """
-        if max_inflight is None:
-            max_inflight = max(2, self.n_shards)
-        if max_inflight < 1:
-            raise ConfigurationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if not self.parallel:
-            return [self.apply(change_set) for change_set in change_sets]
+        window_size = max(2, self.n_shards)
         reports: list[ShardedChangeReport] = []
         window: deque[
             tuple[_PreparedChange, int, _InflightDispatch, float]
@@ -802,33 +780,33 @@ class ShardedSchemaSession:
                 # dispatch, and an oversized pending-replay tail drains
                 # the window until the eager resync can run (it is
                 # suppressed while its shard has futures in flight).
-                while len(window) >= max_inflight or (
+                while len(window) >= window_size or (
                     window
                     and any(
-                        len(pending) >= self.resync_every
+                        len(pending) >= RESYNC_EVERY
                         for pending in self._pending
                     )
                 ):
-                    reports.append(self._finish_pipelined(*window.popleft()))
-                window.append(self._stage_pipelined(change_set))
+                    reports.append(self._finish(*window.popleft()))
+                window.append(self._stage(change_set))
             while window:
-                reports.append(self._finish_pipelined(*window.popleft()))
+                reports.append(self._finish(*window.popleft()))
         except BaseException:
             # Drain what remains so shm blocks release and inflight
             # counters stay truthful; the first error wins.
             while window:
                 entry = window.popleft()
                 try:
-                    self._finish_pipelined(*entry)
+                    self._finish(*entry)
                 except Exception:
                     pass
             raise
         return reports
 
-    def _stage_pipelined(
+    def _stage(
         self, change_set: ChangeSet
     ) -> tuple[_PreparedChange, int, _InflightDispatch, float]:
-        """Stage, submit and commit one change-set of a pipelined feed.
+        """Stage, submit and commit one change-set.
 
         Coordinator effects commit at submission, so a rejection here
         (staging or submission) rolls back and leaves the stream
@@ -844,13 +822,14 @@ class ShardedSchemaSession:
         sequence = self._commit_coordinator(prepared)
         return prepared, sequence, inflight, start
 
-    def _finish_pipelined(
+    def _finish(
         self,
         prepared: _PreparedChange,
         sequence: int,
         inflight: _InflightDispatch,
         start: float,
     ) -> ShardedChangeReport:
+        """Collect one staged dispatch and record its report."""
         shard_reports = self._collect_dispatch(inflight)
         seconds = time.perf_counter() - start  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
         return self._build_report(prepared, sequence, shard_reports, seconds)
@@ -860,17 +839,17 @@ class ShardedSchemaSession:
 
         The pending list replays on top of the shard's last fetched
         state after a pool restart; it is cleared whenever a fresh state
-        snapshot is fetched.  Past ``resync_every`` entries the state is
-        resynced eagerly so an unread feed cannot grow the replay tail
+        snapshot is fetched.  Past :data:`RESYNC_EVERY` entries the state
+        is resynced eagerly so an unread feed cannot grow the replay tail
         without bound.
         """
         pending = self._pending[index]
         pending.append(part)
-        # While the shard still has futures in flight (pipelined mode) a
+        # While the shard still has futures in flight (a window of them) a
         # state fetch would queue behind them and include their effects,
         # so crash replay of the still-pending parts would double-apply:
         # resync only at quiescence (ingest_stream drains to get there).
-        if len(pending) >= self.resync_every and not self._shard_inflight[index]:
+        if len(pending) >= RESYNC_EVERY and not self._shard_inflight[index]:
             self._store_fetched_state(index, self._shard_op(index, "state"))
             self._shard_dirty[index] = False
             # The cached per-shard state is current, but the merged

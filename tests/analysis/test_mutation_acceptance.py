@@ -107,6 +107,36 @@ def test_logging_after_apply_fires_pgl701(tmp_path):
     assert (apply_anchor, "PGL701") in fired
 
 
+def test_unlogged_sharded_stage_fires_pgl701(tmp_path):
+    rule = WalBeforeApplyRule(scope=())
+    original = CORE / "recovery.py"
+    assert run_rules([rule], original) == set()
+
+    # ``_stage`` is the sharded session's one logging point: both
+    # ``apply`` and ``ingest_stream`` stage through it.  Dropping the
+    # logging wrapper there leaves every sharded change-set unlogged.
+    target, mutated = _mutate(
+        tmp_path,
+        original,
+        "    def _stage(self, change_set: ChangeSet):\n"
+        "        if self._replaying:\n"
+        "            return super()._stage(change_set)\n"
+        "        return _logged_apply(\n"
+        "            self,\n"
+        "            _KIND_CHANGESET,\n"
+        "            change_set,\n"
+        "            lambda: super(DurableShardedSchemaSession, self)"
+        "._stage(change_set),\n"
+        "        )\n",
+        "    def _stage(self, change_set: ChangeSet):\n"
+        "        return super()._stage(change_set)\n",
+    )
+    fired = run_rules([rule], target)
+    assert fired == {
+        (_line_of(mutated, "return super()._stage(change_set)"), "PGL701")
+    }
+
+
 def test_dropping_handle_close_fires_pgl801(tmp_path):
     rule = ResourceLifecycleRule(scope=())
     original = CORE / "durability.py"

@@ -222,10 +222,6 @@ class TestDurableSchemaSession:
         with pytest.raises(ConfigurationError, match="recover"):
             DurableSchemaSession(directory, CONFIG, schema_name="s")
 
-    def test_recover_missing_directory(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no such directory"):
-            DurableSchemaSession.recover(tmp_path / "absent")
-
 
 class TestCheckpointFallbackAndRetention:
     def build(self, tmp_path, keep=3):
@@ -255,13 +251,6 @@ class TestCheckpointFallbackAndRetention:
         # Restored from the older snapshot, then replayed deeper WAL.
         assert recovered.sequence == len(feed)
         assert schema_fingerprint(recovered.schema()) == oracle_fingerprint(feed)
-
-    def test_all_checkpoints_corrupt_raises(self, tmp_path):
-        directory, _feed = self.build(tmp_path)
-        for checkpoint in directory.glob("checkpoint-*.ckpt"):
-            FaultInjector.corrupt_byte(checkpoint, 120)
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            DurableSchemaSession.recover(directory, fsync="off")
 
     def test_retention_bound_holds(self, tmp_path):
         feed = change_feed()
@@ -382,6 +371,52 @@ class TestCheckpointFallbackAndRetention:
         restored = SchemaSession.restore(external)
         assert restored.sequence == 4
         session.close()
+
+
+@pytest.mark.parametrize(
+    "cls", [DurableSchemaSession, DurableShardedSchemaSession]
+)
+class TestSharedDurableLayer:
+    """Validation and the newest-valid restore walk, on both classes."""
+
+    def test_keep_checkpoints_must_be_positive(self, tmp_path, cls):
+        directory = tmp_path / "sess"
+        with pytest.raises(ConfigurationError, match="keep_checkpoints"):
+            cls(directory, CONFIG, keep_checkpoints=0)
+        # Validation runs before the directory or the session is built.
+        assert not directory.exists()
+
+    def test_recover_missing_directory(self, tmp_path, cls):
+        with pytest.raises(CheckpointError, match="no such directory"):
+            cls.recover(tmp_path / "absent")
+
+    def test_all_checkpoints_corrupt_raises(self, tmp_path, cls):
+        directory = tmp_path / "sess"
+        session = cls(
+            directory,
+            CONFIG,
+            schema_name="s",
+            fsync="off",
+            keep_checkpoints=3,
+            retain_union=True,
+        )
+        for index, change_set in enumerate(change_feed()):
+            session.apply(change_set)
+            if index in (2, 5):
+                session.checkpoint()
+        session.close()
+        checkpoints = sorted(directory.glob("checkpoint-*"))
+        assert len(checkpoints) == 2
+        for checkpoint in checkpoints:
+            artifact = (
+                checkpoint / "manifest.ckpt" if checkpoint.is_dir() else checkpoint
+            )
+            FaultInjector.corrupt_byte(artifact, 60)
+        with pytest.raises(CheckpointError, match="no checkpoint") as caught:
+            cls.recover(directory, fsync="off")
+        # The error aggregates every failed candidate, never only the last.
+        for checkpoint in checkpoints:
+            assert checkpoint.name in str(caught.value)
 
 
 class TestRejectedChangeSets:
@@ -548,8 +583,9 @@ class TestDurableShardedSession:
         finally:
             recovered.close()
 
-    def test_parallel_ingest_stream_logs_every_change_set(self, tmp_path):
-        """The pipelined feed is as durable as lockstep ``apply``."""
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_ingest_stream_logs_every_change_set(self, tmp_path, parallel):
+        """The pipelined feed is as durable as ``apply``, in both modes."""
         feed = change_feed()[:4]
         directory = tmp_path / "stream"
         session = DurableShardedSchemaSession(
@@ -557,7 +593,7 @@ class TestDurableShardedSession:
             CONFIG,
             schema_name="s",
             n_shards=2,
-            parallel=True,
+            parallel=parallel,
             fsync="off",
             retain_union=True,
         )

@@ -292,6 +292,77 @@ class TestShardedCheckpoint:
         )
 
 
+def report_summary(report):
+    return (
+        report.sequence,
+        report.nodes_inserted,
+        report.edges_inserted,
+        report.nodes_deleted,
+        report.edges_deleted,
+        tuple(index for index, _ in report.shard_reports),
+    )
+
+
+class TestIngestStream:
+    """``apply`` is ``ingest_stream`` with a window of one."""
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_apply_matches_ingest_stream_report_by_report(self, parallel):
+        change_sets = feed(6)
+        # Edges reaching back into earlier change-sets ship stub rows.
+        assert any(
+            edge.source_id not in {node.node_id for node in cs.nodes}
+            for cs in change_sets
+            for edge in cs.edges
+        )
+        change_sets = [
+            *change_sets[:3],
+            ChangeSet.deletions(edges=["r1"]),
+            *change_sets[3:],
+            ChangeSet.deletions(nodes=["v0", "v5", "ghost"], edges=["r4"]),
+        ]
+        config = PGHiveConfig(seed=1)
+        options = dict(n_shards=3, parallel=parallel, retain_union=True)
+        with ShardedSchemaSession(config, **options) as lockstep:
+            applied = [
+                report_summary(lockstep.apply(change_set))
+                for change_set in change_sets
+            ]
+            expected = schema_fingerprint(lockstep.schema())
+        with ShardedSchemaSession(config, **options) as streamed:
+            streamed_reports = streamed.ingest_stream(change_sets)
+            assert streamed.reports == streamed_reports
+            assert schema_fingerprint(streamed.schema()) == expected
+        assert [report_summary(r) for r in streamed_reports] == applied
+        assert applied[3][4] == 1 and applied[-1][3] == 2
+
+    def test_eager_resync_bounds_pending_replay(self, monkeypatch):
+        """An unread parallel feed keeps every replay tail short."""
+        monkeypatch.setattr("repro.core.sharding.RESYNC_EVERY", 4)
+        config = PGHiveConfig(seed=1)
+        change_sets = feed(20, nodes_per_set=2)
+        serial = ShardedSchemaSession(config, n_shards=2)
+        serial.ingest_stream(change_sets)
+        with ShardedSchemaSession(config, n_shards=2, parallel=True) as session:
+            longest: list[int] = []
+            stage = session._stage
+
+            def spy(change_set):
+                longest.append(max(map(len, session._pending)))
+                return stage(change_set)
+
+            monkeypatch.setattr(session, "_stage", spy)
+            session.ingest_stream(change_sets)
+            longest.append(max(map(len, session._pending)))
+            assert len(longest) == len(change_sets) + 1
+            assert max(longest) < 4
+            # Resyncs fetched every shard's state before any read.
+            assert all(state is not None for state in session._shard_states)
+            assert schema_fingerprint(session.schema()) == schema_fingerprint(
+                serial.schema()
+            )
+
+
 class TestParallelMode:
     def test_parallel_matches_serial(self):
         config = PGHiveConfig(seed=2, infer_keys=True)
