@@ -29,7 +29,7 @@ Gates:
   still measures honestly.  ``--require-speedup R`` overrides the floor.
 
 Results merge into ``BENCH_ingest.json`` under the ``sharded_scaling``
-key, alongside the ``ingest_columnar`` and ``dedup_ingest`` sections.
+key, alongside the ``dedup_ingest`` section.
 
 Run:        PYTHONPATH=src python benchmarks/bench_sharded_scaling.py
 Quick (CI): PYTHONPATH=src python benchmarks/bench_sharded_scaling.py --quick

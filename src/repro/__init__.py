@@ -26,7 +26,8 @@ from repro.core.recovery import DurableSchemaSession, DurableShardedSchemaSessio
 from repro.core.session import ChangeReport, DiffEvent, SchemaSession
 from repro.core.sharding import ShardedChangeReport, ShardedSchemaSession
 from repro.core.state import DiscoveryState
-from repro.graph.changes import ChangeSet, HashPartitioner, changesets_from_elements
+from repro.graph.changes import ChangeSet, HashPartitioner
+from repro.graph.columnar import changesets_from_elements
 from repro.errors import DegradedModeWarning
 from repro.graph.model import Edge, Node, PropertyGraph, label_token
 from repro.graph.store import GraphStore

@@ -1,28 +1,22 @@
 """Property-graph substrate: data model, storage engine, IO, patterns."""
 
 from repro.graph.batching import reassemble, split_into_batches, stream_batches
-from repro.graph.changes import (
-    ChangeSet,
-    HashPartitioner,
-    changesets_from_elements,
-    stable_shard,
-)
+from repro.graph.changes import ChangeSet, HashPartitioner, stable_shard
 from repro.graph.columnar import (
     BatchBuilder,
     ElementBatch,
     Interner,
+    changesets_from_elements,
     columnar_changesets_from_rows,
     global_interner,
 )
 from repro.graph.csv_io import (
-    iter_changesets_csv,
     iter_columnar_changesets_csv,
     read_graph_csv,
     write_graph_csv,
 )
 from repro.graph.json_io import (
     graph_from_elements,
-    iter_changesets_jsonl,
     iter_columnar_changesets_jsonl,
     iter_graph_jsonl,
     read_graph_jsonl,
@@ -68,8 +62,6 @@ __all__ = [
     "edge_patterns",
     "global_interner",
     "graph_from_elements",
-    "iter_changesets_csv",
-    "iter_changesets_jsonl",
     "iter_columnar_changesets_csv",
     "iter_columnar_changesets_jsonl",
     "iter_graph_jsonl",

@@ -27,9 +27,10 @@ Conventions:
 
 The module also provides :class:`HashPartitioner`, the stable id routing
 of sharded discovery (the split itself is
-:func:`repro.graph.columnar.partition_columnar`), and
-:func:`changesets_from_elements`, which groups any node/edge element
-stream into endpoint-complete change-sets for the streaming IO readers.
+:func:`repro.graph.columnar.partition_columnar`).  Streams of elements or
+file rows become change-sets through one grouper,
+:func:`repro.graph.columnar.columnar_changesets_from_rows`, which emits
+columnar payloads.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from __future__ import annotations
 import hashlib
 import pickle
 import zlib
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, DanglingEdgeError, WALError
+from repro.errors import ConfigurationError, WALError
 from repro.graph.model import Edge, Node, PropertyGraph
 
 if TYPE_CHECKING:
@@ -336,23 +336,6 @@ def stable_shard(element_id: str, n_shards: int) -> int:
     return int.from_bytes(digest, "little") % n_shards
 
 
-@dataclass
-class _Draft:
-    """Mutable assembly buffer for one endpoint-complete change-set."""
-
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    present: set[str] = field(default_factory=set)
-    stubs: set[str] = field(default_factory=set)
-
-    def freeze(self) -> ChangeSet:
-        return ChangeSet(
-            nodes=self.nodes,
-            edges=self.edges,
-            stub_node_ids=frozenset(self.stubs),
-        )
-
-
 class HashPartitioner:
     """Stable content-hash routing of element ids to ``n_shards`` shards.
 
@@ -370,94 +353,3 @@ class HashPartitioner:
     def shard_of(self, element_id: str) -> int:
         """Stable shard index of one element id."""
         return stable_shard(element_id, self.n_shards)
-
-
-def changesets_from_elements(
-    elements: Iterable[Node | Edge], batch_size: int = 1000
-) -> Iterator[ChangeSet]:
-    """Group an element stream into endpoint-complete insert change-sets.
-
-    Consumes nodes and edges in stream order and emits change-sets of at
-    most ``batch_size`` fresh elements each.  An edge referencing a node
-    emitted in an *earlier* change-set ships a stub copy of it (marked in
-    ``stub_node_ids``), so the resulting feed is valid for any session --
-    no retained union graph or attached store required.  Edges arriving
-    before their endpoints are buffered until the endpoints appear; an
-    endpoint that never appears raises :class:`DanglingEdgeError` at end
-    of stream.
-
-    Memory holds one :class:`Node` per distinct node id (needed to
-    materialise stubs) but never edges or adjacency -- the point of the
-    streaming readers is to feed large datasets without assembling a full
-    :class:`PropertyGraph` first.
-    """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    directory: dict[str, Node] = {}
-    pending: list[Edge] = []
-    draft = _Draft()
-    fresh = 0
-
-    def resolve(edge: Edge) -> bool:
-        """Place ``edge`` in the draft iff both endpoints are known."""
-        missing = [e for e in edge.endpoints() if e not in directory]
-        if missing:
-            return False
-        for endpoint_id in edge.endpoints():
-            if endpoint_id in draft.present:
-                continue
-            draft.nodes.append(directory[endpoint_id])
-            draft.present.add(endpoint_id)
-            draft.stubs.add(endpoint_id)
-        draft.edges.append(edge)
-        return True
-
-    def flush() -> ChangeSet:
-        nonlocal draft, fresh
-        change_set = draft.freeze()
-        draft = _Draft()
-        fresh = 0
-        return change_set
-
-    for element in elements:
-        if isinstance(element, Node):
-            directory[element.node_id] = element
-            if element.node_id in draft.present:
-                # Already shipped as a stub (or duplicated) in this
-                # batch; the real insert supersedes both copy and flag.
-                draft.stubs.discard(element.node_id)
-                draft.nodes = [
-                    element if n.node_id == element.node_id else n
-                    for n in draft.nodes
-                ]
-            else:
-                draft.nodes.append(element)
-                draft.present.add(element.node_id)
-            fresh += 1
-        else:
-            if resolve(element):
-                fresh += 1
-            else:
-                pending.append(element)
-        if fresh >= batch_size:
-            # Endpoints may have arrived for deferred edges; drain what
-            # resolved before emitting (slight over-fill is fine).
-            pending = [edge for edge in pending if not resolve(edge)]
-            yield flush()
-
-    pending = [edge for edge in pending if not resolve(edge)]
-    if pending:
-        missing = sorted(
-            {
-                endpoint
-                for edge in pending
-                for endpoint in edge.endpoints()
-                if endpoint not in directory
-            }
-        )
-        raise DanglingEdgeError(
-            f"{len(pending)} edge(s) reference node ids absent from the "
-            f"stream (first few: {missing[:5]})"
-        )
-    if draft.nodes or draft.edges:
-        yield flush()

@@ -27,12 +27,13 @@ This module provides that representation:
   world (sessions convert element inputs once, at their boundary);
   :class:`BatchBuilder` appends raw rows so file readers ingest without
   ever instantiating a ``Node``/``Edge``.
-* :func:`columnar_changesets_from_rows` -- the columnar analogue of
-  :func:`repro.graph.changes.changesets_from_elements`: groups a raw row
-  stream into endpoint-complete insert :class:`ChangeSet`\\ s whose
-  payload is an :class:`ElementBatch` (stub copies marked in
-  ``stub_node_ids``), holding one compact record per distinct node id in
-  memory instead of one dataclass.
+* :func:`columnar_changesets_from_rows` -- the one change-feed grouper:
+  groups a raw row stream into endpoint-complete insert
+  :class:`ChangeSet`\\ s whose payload is an :class:`ElementBatch` (stub
+  copies marked in ``stub_node_ids``), holding one compact record per
+  distinct node id in memory instead of one dataclass.  The file readers
+  feed it rows directly; :func:`changesets_from_elements` feeds it
+  ``Node``/``Edge`` streams through :func:`intern_element`.
 * :func:`partition_columnar` -- the sharded-session partitioning step
   over the id column (stable blake2b routing through
   :class:`repro.graph.changes.HashPartitioner`, stub rows shipped across
@@ -994,6 +995,22 @@ class ElementBatch:
         )
 
 
+def intern_element(
+    interner: Interner, element: Node | Edge
+) -> tuple[int, int, tuple]:
+    """Intern one element's content as ``(labelset_id, keyset_id, values)``.
+
+    ``values`` align with the interned key set's sorted keys.  This is
+    the one element -> row step: the ``BatchBuilder`` element adapters
+    and :func:`changesets_from_elements` both go through it.
+    """
+    labelset_id = interner.intern_labels(element.labels)
+    keyset_id = interner.intern_keys(element.properties)
+    keys = interner.keyset(keyset_id).keys
+    values = tuple(element.properties[key] for key in keys)
+    return labelset_id, keyset_id, values
+
+
 class BatchBuilder:
     """Row-wise assembly buffer freezing into an :class:`ElementBatch`.
 
@@ -1062,28 +1079,17 @@ class BatchBuilder:
         )
 
     # Convenience adapters from the dataclass world ---------------------
-    def _intern_element(self, element) -> tuple[int, int, tuple]:
-        interner = self.interner
-        labelset_id = interner.intern_labels(element.labels)
-        keyset_id = interner.intern_keys(element.properties)
-        keys = interner.keyset(keyset_id).keys
-        values = tuple(element.properties[key] for key in keys)
-        return labelset_id, keyset_id, values
-
     def put_node_element(self, node: Node) -> None:
         """Append/replace a node row from a :class:`Node`."""
-        self.put_node(node.node_id, *self._intern_element(node))
+        self.put_node(node.node_id, *intern_element(self.interner, node))
 
     def add_edge_element(self, edge: Edge) -> None:
         """Append an edge row from an :class:`Edge`."""
-        labelset_id, keyset_id, values = self._intern_element(edge)
         self.add_edge(
             edge.edge_id,
             edge.source_id,
             edge.target_id,
-            labelset_id,
-            keyset_id,
-            values,
+            *intern_element(self.interner, edge),
         )
 
     # Freeze ------------------------------------------------------------
@@ -1258,8 +1264,7 @@ def columnar_changesets_from_rows(
 ) -> Iterator[ChangeSet]:
     """Group a raw row stream into endpoint-complete columnar change-sets.
 
-    The columnar analogue of
-    :func:`repro.graph.changes.changesets_from_elements`: ``rows`` yields
+    The one stream grouper behind every reader: ``rows`` yields
     ``("n", NodeRow)`` and ``("e", EdgeRow)`` tuples in stream order;
     change-sets of at most ``batch_size`` fresh rows are emitted with an
     :class:`ElementBatch` payload, edges referencing earlier nodes ship
@@ -1360,6 +1365,32 @@ def columnar_changesets_from_rows(
         yield flush()
 
 
+def changesets_from_elements(
+    elements: Iterable[Node | Edge], batch_size: int = 1000
+) -> Iterator[ChangeSet]:
+    """Group a ``Node``/``Edge`` stream into columnar insert change-sets.
+
+    Each element interns once (:func:`intern_element`, on the global
+    interner, like every session boundary) into a ``NodeRow``/``EdgeRow``
+    and the rows go through :func:`columnar_changesets_from_rows`, so
+    element streams get the same budget, stub shipping, edge buffering
+    and :class:`DanglingEdgeError` as the file readers.
+    """
+    interner = _GLOBAL
+
+    def rows() -> Iterator[tuple[str, tuple]]:
+        for element in elements:
+            content = intern_element(interner, element)
+            if isinstance(element, Node):
+                yield "n", (element.node_id, *content)
+            else:
+                yield "e", (
+                    element.edge_id, element.source_id, element.target_id, *content
+                )
+
+    return columnar_changesets_from_rows(rows(), batch_size, interner)
+
+
 # ----------------------------------------------------------------------
 # Sharded partitioning over the id column
 # ----------------------------------------------------------------------
@@ -1447,8 +1478,10 @@ __all__ = [
     "SignatureStore",
     "TokenPattern",
     "ValueColumn",
+    "changesets_from_elements",
     "columnar_changesets_from_rows",
     "global_interner",
+    "intern_element",
     "partition_columnar",
     "value_shapes",
 ]

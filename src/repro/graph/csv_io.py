@@ -6,23 +6,32 @@ property key.  Edges file columns: ``id``, ``source``, ``target``,
 absent" (not an empty string), matching how graph databases treat missing
 properties; values are serialised with a small type-tag-free convention and
 re-inferred on load using the schema layer's parsing primitives.
-:func:`iter_changesets_csv` streams the same layout as a change feed
-without assembling a full graph in memory.
+
+Each file is opened through one header check (:func:`_csv_body`) and
+parsed by one of two parsers, one per output kind: :func:`_iter_elements_csv`
+yields ``Node``/``Edge`` elements (:func:`read_graph_csv`) and
+:func:`_iter_rows_csv` yields interned rows
+(:func:`iter_columnar_changesets_csv`, which streams the layout as a
+columnar change feed without assembling a full graph in memory).  A row
+too short for its fixed columns raises :class:`SerializationError` naming
+``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.errors import SerializationError
-from repro.graph.changes import ChangeSet, changesets_from_elements
+from repro.graph.changes import ChangeSet
 from repro.graph.columnar import (
     Interner,
     columnar_changesets_from_rows,
     global_interner,
 )
+from repro.graph.json_io import graph_from_elements
 from repro.graph.model import Edge, Node, PropertyGraph, PropertyValue
 
 _LABEL_SEPARATOR = ";"
@@ -91,16 +100,48 @@ def write_graph_csv(graph: PropertyGraph, directory: str | Path) -> tuple[Path, 
     return nodes_path, edges_path
 
 
+#: Fixed leading columns of each file; property columns follow.
+_NODE_COLUMNS = ["id", "labels"]
+_EDGE_COLUMNS = ["id", "source", "target", "labels"]
+
+
+def _graph_paths(directory: str | Path) -> tuple[Path, Path]:
+    """``(nodes.csv, edges.csv)`` under ``directory``; both must exist."""
+    directory = Path(directory)
+    nodes_path = directory / "nodes.csv"
+    edges_path = directory / "edges.csv"
+    if not nodes_path.exists() or not edges_path.exists():
+        raise SerializationError(f"missing nodes.csv/edges.csv under {directory}")
+    return nodes_path, edges_path
+
+
+@contextmanager
+def _csv_body(path: Path, columns: list[str]) -> Iterator[tuple[list[str], Iterator]]:
+    """Open one CSV file, check its header, yield ``(property keys, rows)``.
+
+    A row missing one of the fixed ``columns`` fails its parser with an
+    :class:`IndexError`; it surfaces as a :class:`SerializationError`
+    naming ``path:line``.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or header[: len(columns)] != columns:
+            raise SerializationError(f"bad {path.name} header: {header}")
+        try:
+            yield header[len(columns):], reader
+        except IndexError as exc:
+            raise SerializationError(
+                f"{path}:{reader.line_num}: row is missing fixed columns "
+                f"{columns}"
+            ) from exc
+
+
 def _iter_elements_csv(
     nodes_path: Path, edges_path: Path
 ) -> Iterator[Node | Edge]:
     """Stream nodes then edges off disk, one row at a time."""
-    with nodes_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:2] != ["id", "labels"]:
-            raise SerializationError(f"bad nodes.csv header: {header}")
-        keys = header[2:]
+    with _csv_body(nodes_path, _NODE_COLUMNS) as (keys, reader):
         for row in reader:
             labels = frozenset(part for part in row[1].split(_LABEL_SEPARATOR) if part)
             properties = {
@@ -109,12 +150,7 @@ def _iter_elements_csv(
                 if cell != ""
             }
             yield Node(row[0], labels, properties)
-    with edges_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:4] != ["id", "source", "target", "labels"]:
-            raise SerializationError(f"bad edges.csv header: {header}")
-        keys = header[4:]
+    with _csv_body(edges_path, _EDGE_COLUMNS) as (keys, reader):
         for row in reader:
             labels = frozenset(part for part in row[3].split(_LABEL_SEPARATOR) if part)
             properties = {
@@ -123,27 +159,6 @@ def _iter_elements_csv(
                 if cell != ""
             }
             yield Edge(row[0], row[1], row[2], labels, properties)
-
-
-def iter_changesets_csv(
-    directory: str | Path, batch_size: int = 1000
-) -> Iterator[ChangeSet]:
-    """Stream a CSV graph directory as endpoint-complete change-sets.
-
-    Rows stream off disk (never a full :class:`PropertyGraph`); edges
-    referencing nodes from earlier change-sets ship marked stub copies,
-    so the feed is valid for any session -- see
-    :func:`repro.graph.changes.changesets_from_elements` for grouping and
-    memory behaviour.
-    """
-    directory = Path(directory)
-    nodes_path = directory / "nodes.csv"
-    edges_path = directory / "edges.csv"
-    if not nodes_path.exists() or not edges_path.exists():
-        raise SerializationError(f"missing nodes.csv/edges.csv under {directory}")
-    return changesets_from_elements(
-        _iter_elements_csv(nodes_path, edges_path), batch_size
-    )
 
 
 def _iter_rows_csv(
@@ -155,19 +170,9 @@ def _iter_rows_csv(
     exports, so both intern through per-file caches: one dict hit per
     row instead of one split/sort/intern per row.
     """
-    with nodes_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:2] != ["id", "labels"]:
-            raise SerializationError(f"bad nodes.csv header: {header}")
-        keys = header[2:]
+    with _csv_body(nodes_path, _NODE_COLUMNS) as (keys, reader):
         yield from _interned_rows(reader, keys, 2, interner, kind="n")
-    with edges_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:4] != ["id", "source", "target", "labels"]:
-            raise SerializationError(f"bad edges.csv header: {header}")
-        keys = header[4:]
+    with _csv_body(edges_path, _EDGE_COLUMNS) as (keys, reader):
         yield from _interned_rows(reader, keys, 4, interner, kind="e")
 
 
@@ -208,19 +213,16 @@ def iter_columnar_changesets_csv(
     batch_size: int = 1000,
     interner: Interner | None = None,
 ) -> Iterator[ChangeSet]:
-    """Stream a CSV graph directory as *columnar* insert change-sets.
+    """Stream a CSV graph directory as endpoint-complete insert change-sets.
 
-    The zero-copy counterpart of :func:`iter_changesets_csv`: rows intern
-    straight into :class:`~repro.graph.columnar.ElementBatch` payloads
-    and no :class:`Node`/:class:`Edge` dataclass is ever instantiated.
-    Stub shipping, edge buffering, and memory behaviour mirror the
-    element-wise reader.
+    Rows stream off disk (never a full :class:`PropertyGraph`) and intern
+    straight into :class:`~repro.graph.columnar.ElementBatch` payloads;
+    edges referencing nodes from earlier change-sets ship stub rows
+    marked in ``stub_node_ids``, so the feed is valid for any session --
+    see :func:`repro.graph.columnar.columnar_changesets_from_rows` for
+    grouping and memory behaviour.
     """
-    directory = Path(directory)
-    nodes_path = directory / "nodes.csv"
-    edges_path = directory / "edges.csv"
-    if not nodes_path.exists() or not edges_path.exists():
-        raise SerializationError(f"missing nodes.csv/edges.csv under {directory}")
+    nodes_path, edges_path = _graph_paths(directory)
     interner = interner or global_interner()
     return columnar_changesets_from_rows(
         _iter_rows_csv(nodes_path, edges_path, interner), batch_size, interner
@@ -229,44 +231,4 @@ def iter_columnar_changesets_csv(
 
 def read_graph_csv(directory: str | Path, name: str = "csv-graph") -> PropertyGraph:
     """Load a graph previously written by :func:`write_graph_csv`."""
-    directory = Path(directory)
-    nodes_path = directory / "nodes.csv"
-    edges_path = directory / "edges.csv"
-    if not nodes_path.exists() or not edges_path.exists():
-        raise SerializationError(f"missing nodes.csv/edges.csv under {directory}")
-
-    graph = PropertyGraph(name)
-    with nodes_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:2] != ["id", "labels"]:
-            raise SerializationError(f"bad nodes.csv header: {header}")
-        keys = header[2:]
-        for row in reader:
-            labels = frozenset(part for part in row[1].split(_LABEL_SEPARATOR) if part)
-            properties = {
-                key: _parse_value(cell)
-                for key, cell in zip(keys, row[2:])
-                if cell != ""
-            }
-            graph.add_node(Node(row[0], labels, properties))
-
-    with edges_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[:4] != ["id", "source", "target", "labels"]:
-            raise SerializationError(f"bad edges.csv header: {header}")
-        keys = header[4:]
-        for row in reader:
-            labels = frozenset(part for part in row[3].split(_LABEL_SEPARATOR) if part)
-            properties = {
-                key: _parse_value(cell)
-                for key, cell in zip(keys, row[4:])
-                if cell != ""
-            }
-            graph.add_edge(Edge(row[0], row[1], row[2], labels, properties))
-    return graph
-
-
-#: Module-local alias: ``csv_io.iter_changesets(path, batch_size)``.
-iter_changesets = iter_changesets_csv
+    return graph_from_elements(_iter_elements_csv(*_graph_paths(directory)), name)

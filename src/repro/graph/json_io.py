@@ -4,18 +4,25 @@ One JSON object per line, tagged with ``"kind": "node" | "edge"``.  JSON
 preserves scalar types exactly, so this format round-trips graphs without
 the re-inference the CSV path needs.  It is also the on-disk format the
 incremental examples use to simulate an ingest stream.
-:func:`iter_changesets_jsonl` turns the same file into a change feed
-without ever assembling a full graph in memory.
+
+One decoder (:func:`_iter_records_jsonl`) reads every file and feeds two
+parsers, one per output kind: :func:`record_to_element` for ``Node``/``Edge``
+elements (:func:`iter_graph_jsonl`, :func:`read_graph_jsonl`) and
+:func:`columnar_rows_from_records` for interned rows
+(:func:`iter_columnar_changesets_jsonl`, which turns the file into a
+columnar change feed without ever assembling a full graph in memory).
+A malformed line raises :class:`SerializationError` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.errors import SerializationError
-from repro.graph.changes import ChangeSet, changesets_from_elements
+from repro.graph.changes import ChangeSet
 from repro.graph.columnar import (
     Interner,
     columnar_changesets_from_rows,
@@ -81,34 +88,10 @@ def write_graph_jsonl(graph: PropertyGraph, path: str | Path) -> Path:
 def iter_graph_jsonl(path: str | Path) -> Iterator[Node | Edge]:
     """Stream elements back from a JSON-lines file."""
     path = Path(path)
-    with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(
-                    f"{path}:{line_number}: invalid JSON ({exc})"
-                ) from exc
+    cursor = [0]
+    with _malformed_records(path, cursor):
+        for record in _iter_records_jsonl(path, cursor):
             yield record_to_element(record)
-
-
-def iter_changesets_jsonl(
-    path: str | Path, batch_size: int = 1000
-) -> Iterator[ChangeSet]:
-    """Stream a JSON-lines file as endpoint-complete insert change-sets.
-
-    Feeds large datasets straight into a :class:`SchemaSession` or
-    :class:`ShardedSchemaSession` without materialising a full
-    :class:`PropertyGraph`: elements stream off disk, edges referencing
-    nodes from earlier change-sets ship stub copies (marked in
-    ``stub_node_ids``), and memory holds one node per distinct id but no
-    edges or adjacency (see
-    :func:`repro.graph.changes.changesets_from_elements`).
-    """
-    return changesets_from_elements(iter_graph_jsonl(path), batch_size)
 
 
 def columnar_rows_from_records(
@@ -156,26 +139,50 @@ def columnar_rows_from_records(
             raise SerializationError(f"unknown record kind: {kind!r}")
 
 
-def _iter_records_jsonl(path: Path) -> Iterator[dict]:
-    """Decode one JSON record per line (blank lines skipped)."""
+def _iter_records_jsonl(path: Path, cursor: list[int]) -> Iterator[dict]:
+    """Decode one JSON record per line (blank lines skipped).
+
+    ``cursor[0]`` tracks the line being decoded, so a parser failing on
+    the record just yielded can name its line.
+    """
     loads = json.loads
     with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
+        for cursor[0], line in enumerate(handle, start=1):
             try:
                 yield loads(line)
             except json.JSONDecodeError as exc:
                 if not line.strip():
                     continue
                 raise SerializationError(
-                    f"{path}:{line_number}: invalid JSON ({exc})"
+                    f"{path}:{cursor[0]}: invalid JSON ({exc})"
                 ) from exc
+
+
+@contextmanager
+def _malformed_records(path: Path, cursor: list[int]) -> Iterator[None]:
+    """Re-raise a parser's failure on a malformed record as a typed error.
+
+    A non-object line, a missing ``id``/``source``/``target`` or
+    unhashable labels fail either parser; the failure surfaces as a
+    :class:`SerializationError` naming ``path:line``.
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise SerializationError(
+            f"{path}:{cursor[0]}: malformed record ({exc!r})"
+        ) from exc
 
 
 def _iter_rows_jsonl(
     path: Path, interner: Interner
 ) -> Iterator[tuple[str, tuple]]:
     """Stream interned columnar rows from a JSON-lines file."""
-    return columnar_rows_from_records(_iter_records_jsonl(path), interner)
+    cursor = [0]
+    with _malformed_records(path, cursor):
+        yield from columnar_rows_from_records(
+            _iter_records_jsonl(path, cursor), interner
+        )
 
 
 def iter_columnar_changesets_jsonl(
@@ -183,13 +190,17 @@ def iter_columnar_changesets_jsonl(
     batch_size: int = 1000,
     interner: Interner | None = None,
 ) -> Iterator[ChangeSet]:
-    """Stream a JSON-lines file as *columnar* insert change-sets.
+    """Stream a JSON-lines file as endpoint-complete insert change-sets.
 
-    The zero-copy counterpart of :func:`iter_changesets_jsonl`: records
-    intern straight into :class:`~repro.graph.columnar.ElementBatch`
-    payloads and no :class:`Node`/:class:`Edge` dataclass is ever
-    instantiated.  Stub shipping, edge buffering, and memory behaviour
-    mirror the element-wise reader.
+    Feeds large datasets straight into a :class:`SchemaSession` or
+    :class:`ShardedSchemaSession` without materialising a full
+    :class:`PropertyGraph`: records intern straight into
+    :class:`~repro.graph.columnar.ElementBatch` payloads (no
+    :class:`Node`/:class:`Edge` is instantiated), edges referencing nodes
+    from earlier change-sets ship stub rows marked in ``stub_node_ids``,
+    and memory holds one compact record per distinct node id but no
+    edges or adjacency (see
+    :func:`repro.graph.columnar.columnar_changesets_from_rows`).
     """
     interner = interner or global_interner()
     return columnar_changesets_from_rows(
@@ -197,28 +208,14 @@ def iter_columnar_changesets_jsonl(
     )
 
 
-def read_graph_jsonl(path: str | Path, name: str = "jsonl-graph") -> PropertyGraph:
-    """Load a whole graph from a JSON-lines file.
-
-    Edges may appear before their endpoints in the file; they are buffered
-    and inserted once all nodes are known.
-    """
-    graph = PropertyGraph(name)
-    pending_edges: list[Edge] = []
-    for element in iter_graph_jsonl(path):
-        if isinstance(element, Node):
-            graph.add_node(element)
-        else:
-            pending_edges.append(element)
-    for edge in pending_edges:
-        graph.add_edge(edge)
-    return graph
-
-
 def graph_from_elements(
     elements: Iterable[Node | Edge], name: str = "graph"
 ) -> PropertyGraph:
-    """Build a graph from any element iterable (edges buffered as above)."""
+    """Build a graph from any element iterable.
+
+    Edges may appear before their endpoints; they are buffered and
+    inserted once all nodes are known.
+    """
     graph = PropertyGraph(name)
     pending: list[Edge] = []
     for element in elements:
@@ -231,5 +228,6 @@ def graph_from_elements(
     return graph
 
 
-#: Module-local alias: ``json_io.iter_changesets(path, batch_size)``.
-iter_changesets = iter_changesets_jsonl
+def read_graph_jsonl(path: str | Path, name: str = "jsonl-graph") -> PropertyGraph:
+    """Load a whole graph from a JSON-lines file."""
+    return graph_from_elements(iter_graph_jsonl(path), name)

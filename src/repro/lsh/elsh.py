@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ClusteringError, ConfigurationError
-from repro.lsh.base import GroupingRule, group, group_by_signature
+from repro.lsh.base import GroupingRule, group
 
 
 class EuclideanLSH:
@@ -99,10 +99,6 @@ class EuclideanLSH:
     ) -> list[list[int]]:
         """Group row indices of ``vectors`` under the chosen rule."""
         return group(self.signatures(vectors), rule)
-
-    def cluster_exact_buckets(self, vectors: np.ndarray) -> list[list[int]]:
-        """AND-rule clusters (kept for symmetry with MinHashLSH)."""
-        return group_by_signature(self.signatures(vectors))
 
     def __repr__(self) -> str:
         return (

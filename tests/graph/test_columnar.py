@@ -10,18 +10,20 @@ from repro.graph.changes import ChangeSet, HashPartitioner
 from repro.graph.columnar import (
     BatchBuilder,
     ElementBatch,
+    changesets_from_elements,
     columnar_changesets_from_rows,
     global_interner,
+    intern_element,
     partition_columnar,
 )
 from repro.graph.csv_io import (
-    iter_changesets_csv,
     iter_columnar_changesets_csv,
+    read_graph_csv,
     write_graph_csv,
 )
 from repro.graph.json_io import (
-    iter_changesets_jsonl,
     iter_columnar_changesets_jsonl,
+    iter_graph_jsonl,
     write_graph_jsonl,
 )
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -51,40 +53,65 @@ def sample_graph() -> PropertyGraph:
     return graph
 
 
-def changesets_equal_elements(columnar_sets, element_sets):
-    """Materialise both feeds and compare content change-set by change-set."""
-    assert len(columnar_sets) == len(element_sets)
-    for columnar_set, element_set in zip(columnar_sets, element_sets):
-        nodes, edges = columnar_set.columnar.to_elements()
-        assert nodes == element_set.nodes
-        assert edges == element_set.edges
-        assert columnar_set.stub_node_ids == element_set.stub_node_ids
+def changesets_equal(row_sets, element_sets):
+    """Compare two columnar feeds content by content, change-set by change-set."""
+    assert len(row_sets) == len(element_sets)
+    for row_set, element_set in zip(row_sets, element_sets):
+        assert row_set.columnar.to_elements() == element_set.columnar.to_elements()
+        assert row_set.stub_node_ids == element_set.stub_node_ids
+
+
+def csv_elements(directory):
+    """The CSV element parser's stream: nodes then edges in file order."""
+    graph = read_graph_csv(directory)
+    return [*graph.nodes(), *graph.edges()]
 
 
 class TestColumnarReaders:
-    def test_jsonl_reader_matches_element_reader(self, tmp_path):
+    """Each format's row parser and element parser feed the one grouper
+    the same content, so a file read either way yields equal change-sets
+    and equal schemas."""
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 1000])
+    def test_jsonl_row_parser_matches_element_parser(self, tmp_path, batch_size):
         graph = sample_graph()
         path = tmp_path / "graph.jsonl"
         write_graph_jsonl(graph, path)
-        changesets_equal_elements(
-            list(iter_columnar_changesets_jsonl(path, batch_size=8)),
-            list(iter_changesets_jsonl(path, batch_size=8)),
+        changesets_equal(
+            list(iter_columnar_changesets_jsonl(path, batch_size=batch_size)),
+            list(changesets_from_elements(iter_graph_jsonl(path), batch_size)),
         )
 
-    def test_csv_reader_matches_element_reader(self, tmp_path):
+    @pytest.mark.parametrize("batch_size", [1, 8, 1000])
+    def test_csv_row_parser_matches_element_parser(self, tmp_path, batch_size):
         graph = sample_graph()
         write_graph_csv(graph, tmp_path)
-        changesets_equal_elements(
-            list(iter_columnar_changesets_csv(tmp_path, batch_size=8)),
-            list(iter_changesets_csv(tmp_path, batch_size=8)),
+        changesets_equal(
+            list(iter_columnar_changesets_csv(tmp_path, batch_size=batch_size)),
+            list(changesets_from_elements(csv_elements(tmp_path), batch_size)),
         )
 
-    def test_csv_columnar_session_fingerprint(self, tmp_path):
+    def test_jsonl_session_fingerprint(self, tmp_path):
+        graph = sample_graph()
+        path = tmp_path / "graph.jsonl"
+        write_graph_jsonl(graph, path)
+        config = PGHiveConfig(method=ClusteringMethod.MINHASH)
+        element = SchemaSession(config, schema_name="s")
+        for change_set in changesets_from_elements(iter_graph_jsonl(path), 10):
+            element.apply(change_set)
+        columnar = SchemaSession(config, schema_name="s")
+        for change_set in iter_columnar_changesets_jsonl(path, batch_size=10):
+            columnar.apply(change_set)
+        assert schema_fingerprint(element.schema()) == schema_fingerprint(
+            columnar.schema()
+        )
+
+    def test_csv_session_fingerprint(self, tmp_path):
         graph = sample_graph()
         write_graph_csv(graph, tmp_path)
         config = PGHiveConfig(method=ClusteringMethod.MINHASH)
         element = SchemaSession(config, schema_name="s")
-        for change_set in iter_changesets_csv(tmp_path, batch_size=10):
+        for change_set in changesets_from_elements(csv_elements(tmp_path), 10):
             element.apply(change_set)
         columnar = SchemaSession(config, schema_name="s")
         for change_set in iter_columnar_changesets_csv(tmp_path, batch_size=10):
@@ -104,20 +131,15 @@ class TestColumnarGrouping:
     def make_rows(self, elements):
         interner = global_interner()
         for element in elements:
-            labelset_id = interner.intern_labels(element.labels)
-            keyset_id = interner.intern_keys(element.properties)
-            keys = interner.keyset(keyset_id).keys
-            values = tuple(element.properties[key] for key in keys)
+            content = intern_element(interner, element)
             if isinstance(element, Node):
-                yield "n", (element.node_id, labelset_id, keyset_id, values)
+                yield "n", (element.node_id, *content)
             else:
                 yield "e", (
                     element.edge_id,
                     element.source_id,
                     element.target_id,
-                    labelset_id,
-                    keyset_id,
-                    values,
+                    *content,
                 )
 
     def test_stub_marking_and_supersede(self):
@@ -204,8 +226,17 @@ class TestColumnarPartitioning:
             element = ShardedSchemaSession(
                 config, schema_name="s", n_shards=n_shards
             )
-            for change_set in iter_changesets_jsonl(path, batch_size=9):
-                element.apply(change_set)
+            # The same feed as element change-sets, converted at the
+            # sharded coordinator's boundary.
+            for change_set in iter_columnar_changesets_jsonl(path, batch_size=9):
+                nodes, edges = change_set.columnar.to_elements()
+                element.apply(
+                    ChangeSet(
+                        nodes=nodes,
+                        edges=edges,
+                        stub_node_ids=change_set.stub_node_ids,
+                    )
+                )
             columnar = ShardedSchemaSession(
                 config, schema_name="s", n_shards=n_shards
             )

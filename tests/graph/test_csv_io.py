@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import SerializationError
-from repro.graph.csv_io import read_graph_csv, write_graph_csv
+from repro.graph.csv_io import (
+    iter_columnar_changesets_csv,
+    read_graph_csv,
+    write_graph_csv,
+)
 from repro.graph.model import Edge, Node, PropertyGraph
 
 
@@ -66,3 +70,17 @@ class TestErrors:
         (tmp_path / "edges.csv").write_text("id,source,target,labels\n")
         with pytest.raises(SerializationError):
             read_graph_csv(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [read_graph_csv, lambda path: list(iter_columnar_changesets_csv(path))],
+    ids=["elements", "rows"],
+)
+def test_short_edge_row_names_its_line(tmp_path, parse):
+    (tmp_path / "nodes.csv").write_text("id,labels\na,T\nb,T\n")
+    (tmp_path / "edges.csv").write_text(
+        "id,source,target,labels,w\ne1,a,b,R,1\ne2,a\n"
+    )
+    with pytest.raises(SerializationError, match=r"edges\.csv:3: row is missing"):
+        parse(tmp_path)

@@ -1,11 +1,14 @@
 """Unit tests for JSON-lines import/export."""
 
+import json
+
 import pytest
 
 from repro.errors import SerializationError
 from repro.graph.json_io import (
     edge_to_record,
     graph_from_elements,
+    iter_columnar_changesets_jsonl,
     node_to_record,
     read_graph_jsonl,
     record_to_element,
@@ -66,6 +69,41 @@ class TestFileRoundTrip:
         path.write_text("not json\n")
         with pytest.raises(SerializationError, match=":1:"):
             read_graph_jsonl(path)
+
+
+#: Both parsers of the format: elements and columnar rows.
+PARSERS = {
+    "elements": read_graph_jsonl,
+    "rows": lambda path: list(iter_columnar_changesets_jsonl(path)),
+}
+
+
+@pytest.mark.parametrize("parse", PARSERS.values(), ids=list(PARSERS))
+class TestMalformedRecords:
+    """A record of the wrong shape raises a typed error naming its line."""
+
+    def write(self, tmp_path, bad_line):
+        path = tmp_path / "g.jsonl"
+        good = json.dumps(node_to_record(Node("a", {"T"}, {"k": 1})))
+        path.write_text(f"{good}\n\n{bad_line}\n{good}\n")
+        return path
+
+    def test_non_object_line(self, tmp_path, parse):
+        path = self.write(tmp_path, "[1, 2]")
+        with pytest.raises(SerializationError, match=r"g\.jsonl:3: malformed"):
+            parse(path)
+
+    def test_record_missing_id(self, tmp_path, parse):
+        path = self.write(tmp_path, json.dumps({"kind": "node", "labels": ["T"]}))
+        with pytest.raises(SerializationError, match=r"g\.jsonl:3: malformed"):
+            parse(path)
+
+    def test_edge_missing_target(self, tmp_path, parse):
+        record = edge_to_record(Edge("e", "a", "a", {"R"}))
+        del record["target"]
+        path = self.write(tmp_path, json.dumps(record))
+        with pytest.raises(SerializationError, match=r"g\.jsonl:3: malformed"):
+            parse(path)
 
 
 class TestGraphFromElements:

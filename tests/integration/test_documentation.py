@@ -87,7 +87,7 @@ class TestReadmeShardedQuickstart:
         # (serial shards here; parallel mode is pinned in
         # tests/core/test_sharding.py).
         from repro import Edge, Node, PGHiveConfig, PropertyGraph, ShardedSchemaSession
-        from repro.graph.json_io import iter_changesets_jsonl, write_graph_jsonl
+        from repro.graph.json_io import iter_columnar_changesets_jsonl, write_graph_jsonl
 
         graph = PropertyGraph("events")
         for serial in range(12):
@@ -107,7 +107,7 @@ class TestReadmeShardedQuickstart:
         path = write_graph_jsonl(graph, tmp_path / "events.jsonl")
 
         with ShardedSchemaSession(PGHiveConfig(), n_shards=4) as session:
-            for change_set in iter_changesets_jsonl(path, batch_size=5):
+            for change_set in iter_columnar_changesets_jsonl(path, batch_size=5):
                 session.apply(change_set)
             summary = session.schema().summary()
             assert summary["node_types"] >= 2

@@ -1,12 +1,12 @@
-"""Regression pin: sharded discovery output on element change feeds.
+"""Regression pin: sharded discovery output on change feeds.
 
-Each case feeds element-wise :class:`ChangeSet`\\ s to a
-:class:`ShardedSchemaSession` and compares a blake2b digest of the merged
-schema fingerprint against a recorded value.  The feeds cover:
+Each case feeds :class:`ChangeSet`\\ s to a :class:`ShardedSchemaSession`
+and compares a blake2b digest of the merged schema fingerprint against a
+recorded value.  The feeds cover:
 
-* registry datasets with 20% property noise, grouped into change-sets by
-  :func:`changesets_from_elements` (edges of later change-sets ship
-  producer stubs of earlier nodes);
+* registry datasets with 20% property noise, grouped into columnar
+  change-sets by :func:`changesets_from_elements` (edges of later
+  change-sets ship producer stub rows of earlier nodes);
 * the small labelled feed of ``tests/core/test_sharding.py``, whose edges
   reference earlier change-sets' nodes *without* stubs, so the
   coordinator resolves them from its node registry (serial and process
@@ -31,7 +31,8 @@ from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.sharding import ShardedSchemaSession
 from repro.datasets.noise import apply_noise
 from repro.datasets.registry import load_dataset
-from repro.graph.changes import ChangeSet, changesets_from_elements
+from repro.graph.changes import ChangeSet
+from repro.graph.columnar import changesets_from_elements
 from repro.schema.model import schema_fingerprint
 
 from tests.core.test_sharding import feed
