@@ -1,9 +1,9 @@
 """Per-batch post-processing cost: streaming accumulators vs union re-scan.
 
-Drives N insert batches through :class:`IncrementalSchemaDiscovery` with
+Drives N insert batches through :meth:`SchemaSession.add_batch` with
 ``post_process_each_batch=True`` in two modes:
 
-* ``streaming`` -- the default engine: no union graph, post-processing
+* ``streaming`` -- the default session: no union graph, post-processing
   reads the per-type accumulators (O(|schema|) per batch);
 * ``union-rescan`` -- the pre-accumulator oracle (``retain_union=True,
   streaming_postprocess=False``): every batch re-scans the cumulative
@@ -35,7 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
+from repro.core.session import SchemaSession
 from repro.graph.model import Edge, Node, PropertyGraph
 
 SEED = 2026
@@ -55,7 +55,7 @@ def synthetic_stream(
     """Insert batches over a fixed set of labelled types.
 
     Every batch replays the same small set of "hub" nodes (identical
-    content each time, as real endpoint stubs are), so the engine's
+    content each time, as real endpoint stubs are), so the session's
     replay dedup and the growing N:1 cardinalities are both exercised.
     """
     rng = np.random.default_rng(seed)
@@ -126,7 +126,7 @@ def synthetic_stream(
 
 
 def run_mode(mode: str, batches: list[PropertyGraph], seed: int) -> dict:
-    """One full stream through the engine; returns the perf trajectory."""
+    """One full stream through a session; returns the perf trajectory."""
     overrides = (
         {}
         if mode == "streaming"
@@ -138,17 +138,17 @@ def run_mode(mode: str, batches: list[PropertyGraph], seed: int) -> dict:
         post_process_each_batch=True,
         **overrides,
     )
-    engine = IncrementalSchemaDiscovery(config, schema_name=f"bench-{mode}")
+    session = SchemaSession(config, schema_name=f"bench-{mode}")
     per_batch: list[float] = []
     postprocess: list[float] = []
     tracemalloc.start()
     for batch in batches:
-        before = engine._timer.lap("postprocess")
+        before = session.timer.lap("postprocess")
         start = time.perf_counter()
-        engine.add_batch(batch)
+        session.add_batch(batch)
         per_batch.append(time.perf_counter() - start)
-        postprocess.append(engine._timer.lap("postprocess") - before)
-    engine.finalize()
+        postprocess.append(session.timer.lap("postprocess") - before)
+    session.finalize()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {
@@ -157,8 +157,8 @@ def run_mode(mode: str, batches: list[PropertyGraph], seed: int) -> dict:
         "postprocess_seconds": postprocess,
         "postprocess_total_seconds": sum(postprocess),
         "peak_traced_bytes": int(peak),
-        "node_types": engine.schema.node_type_count,
-        "edge_types": engine.schema.edge_type_count,
+        "node_types": session.schema_graph.node_type_count,
+        "edge_types": session.schema_graph.edge_type_count,
     }
 
 

@@ -19,7 +19,6 @@ mergeable per-shard sessions (optionally in worker processes).
 """
 
 from repro.core.config import AdaptiveOverrides, ClusteringMethod, PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
 from repro.core.maintenance import MaintainedSchema
 from repro.core.pipeline import DiscoveryResult, PGHive
 from repro.core.recovery import DurableSchemaSession, DurableShardedSchemaSession
@@ -58,7 +57,6 @@ __all__ = [
     "GraphStore",
     "GroupingRule",
     "HashPartitioner",
-    "IncrementalSchemaDiscovery",
     "MaintainedSchema",
     "Node",
     "NodeType",

@@ -10,7 +10,7 @@ and anything matching ``*_columnar`` / ``columnar_*``.
 ``PGL301`` -- per-element materialisation inside a hot function:
 ``Node(...)``/``Edge(...)`` construction or calls to the element-wise
 converters ``to_elements()`` / ``to_property_graph()`` /
-``from_elements()``.
+``merge_into_graph()`` / ``from_elements()``.
 
 ``PGL302`` -- per-row Python loops over value columns: a ``for`` loop or
 comprehension whose iterable reaches into ``<block>.columns[...]``
@@ -38,7 +38,7 @@ _HOT_EXACT = frozenset({"_ingest_columnar", "record_into"})
 #: Constructors/converters that materialise per-element objects.
 _ELEMENT_CONSTRUCTORS = frozenset({"Node", "Edge"})
 _ELEMENT_CONVERTERS = frozenset(
-    {"to_elements", "to_property_graph", "from_elements"}
+    {"to_elements", "to_property_graph", "merge_into_graph", "from_elements"}
 )
 
 

@@ -270,16 +270,13 @@ def figure7_incremental(
     seed: int = 0,
 ) -> list[float]:
     """Per-batch processing seconds for a 10-batch random split."""
-    from repro.core.incremental import IncrementalSchemaDiscovery
+    from repro.core.session import SchemaSession
 
     batches = split_into_batches(dataset.graph, batch_count, seed=seed)
     config = PGHiveConfig(method=method, post_processing=False, seed=seed)
-    engine = IncrementalSchemaDiscovery(config, schema_name=f"{dataset.name}-inc")
-    seconds = []
-    for batch in batches:
-        report = engine.add_batch(batch)
-        seconds.append(report.seconds)
-    engine.finalize()
+    session = SchemaSession(config, schema_name=f"{dataset.name}-inc")
+    seconds = [session.add_batch(batch).seconds for batch in batches]
+    session.finalize()
     return seconds
 
 

@@ -27,7 +27,6 @@ from repro.core.datatype_inference import (
     infer_datatypes_streaming,
     sample_values,
 )
-from repro.core.incremental import BatchReport, IncrementalSchemaDiscovery
 from repro.core.key_inference import (
     candidate_keys_for_type,
     candidate_keys_from_summaries,
@@ -51,7 +50,6 @@ from repro.core.type_extraction import (
 __all__ = [
     "AdaptiveOverrides",
     "AdaptiveParameters",
-    "BatchReport",
     "CAPABILITIES",
     "ChangeReport",
     "ClusteringMethod",
@@ -62,7 +60,6 @@ __all__ = [
     "DiscoveryState",
     "DistinctTracker",
     "EndpointAccumulator",
-    "IncrementalSchemaDiscovery",
     "KeyAccumulator",
     "MaintainedSchema",
     "PGHive",

@@ -5,7 +5,7 @@ into representation vectors, (c) LSH clustering, (d) type extraction and
 merging, then -- optionally -- (e) property constraints, (f) datatype
 inference, (g) cardinalities, and (h) serialisation helpers.  The same
 object also drives incremental discovery over a batch stream, delegating to
-:class:`~repro.core.incremental.IncrementalSchemaDiscovery`.
+:class:`~repro.core.session.SchemaSession`.
 """
 
 from __future__ import annotations

@@ -15,10 +15,13 @@ directory layout::
     <dir>/checkpoint-<sequence>[.ckpt]   atomic digest-verified snapshots
 
 Each session logs in exactly one place: :class:`DurableSchemaSession`
-in :meth:`~DurableSchemaSession.apply`/``add_batch``, and
-:class:`DurableShardedSchemaSession` in ``_stage``, the one staging path
-its ``apply`` and pipelined ``ingest_stream`` both take.  The record is
-the change-set's wire encoding
+in :meth:`~DurableSchemaSession.apply` (``add_batch`` applies through
+it), and :class:`DurableShardedSchemaSession` in ``_stage``, the one
+staging path its ``apply`` and pipelined ``ingest_stream`` both take.
+Element inserts convert to one columnar change-set before either logs
+(:func:`~repro.graph.columnar.columnar_changeset`), so every record is
+columnar or deletion-only and replays with no endpoint lookup.  The
+record is the change-set's wire encoding
 (:meth:`~repro.graph.changes.ChangeSet.to_wire`) under the sequence
 number the apply will get, appended *before* state mutates -- so after
 a crash the log is always at least as new as memory ever was.
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import re
 import shutil
+import warnings
 from pathlib import Path
 from typing import Self
 
@@ -60,14 +64,9 @@ from repro.errors import (
     WALError,
 )
 from repro.graph.changes import ChangeSet
-from repro.graph.model import PropertyGraph
 
-#: WAL payload kind prefix: a change-set applied via ``apply``.
+#: WAL payload kind prefix of every record: one applied change-set.
 _KIND_CHANGESET = b"C"
-#: WAL payload kind prefix: an insert batch applied via ``add_batch``
-#: (replayed through ``add_batch`` to keep its empty-batch semantics --
-#: an empty first batch still fits the preprocessor).
-_KIND_BATCH = b"B"
 
 #: Internal checkpoint name: a ``.ckpt`` file (single session) or a
 #: manifest directory without suffix (sharded session).
@@ -75,7 +74,7 @@ _CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{12})(\.ckpt)?$")
 _WAL_DIR = "wal"
 
 
-def _logged_apply(session, kind: bytes, change_set: ChangeSet, run):
+def _logged_apply(session, change_set: ChangeSet, run):
     """Append to the WAL, run the in-memory apply, compensate rejection.
 
     Write-ahead ordering logs the record before ``run`` mutates state;
@@ -86,7 +85,7 @@ def _logged_apply(session, kind: bytes, change_set: ChangeSet, run):
     monotonicity and a later recovery would replay the rejection.
     """
     sequence = session._sequence + 1
-    session._wal.append(sequence, kind + change_set.to_wire())
+    session._wal.append(sequence, _KIND_CHANGESET + change_set.to_wire())
     try:
         return run()
     except Exception:
@@ -95,25 +94,14 @@ def _logged_apply(session, kind: bytes, change_set: ChangeSet, run):
         raise
 
 
-
-
 def _replay_record(session, payload: bytes) -> None:
-    """Re-apply one WAL record through the session's own feed methods."""
-    kind, body = payload[:1], payload[1:]
-    change_set = ChangeSet.from_wire(body)
-    if kind == _KIND_BATCH:
-        graph = PropertyGraph(f"{session.schema_name}-replay")
-        for node in change_set.nodes:
-            graph.put_node(node)
-        for edge in change_set.edges:
-            graph.add_edge(edge)
-        session.add_batch(graph)
-    elif kind == _KIND_CHANGESET:
-        session.apply(change_set)
-    else:
+    """Re-apply one WAL record through the session's own ``apply``."""
+    kind = payload[:1]
+    if kind != _KIND_CHANGESET:
         raise WALCorruptError(
-            f"unknown WAL record kind {kind!r} (payload of a newer build?)"
+            f"unknown WAL record kind {kind!r} (payload of another build?)"
         )
+    session.apply(ChangeSet.from_wire(payload[1:]))
 
 
 class _DurableLog:
@@ -282,7 +270,8 @@ class _DurableLog:
         a WAL failure) is tolerated only as the final record of the log:
         that is the signature of a crash between the append and its
         rollback, and the change-set was never acknowledged, so it is
-        dropped.  The same rejection earlier in the log is real
+        dropped with a :class:`RuntimeWarning` naming its sequence and
+        the error.  The same rejection earlier in the log is real
         divergence and re-raises.
         """
         self._replaying = True
@@ -298,8 +287,15 @@ class _DurableLog:
                     _replay_record(self, payload)
                 except WALError:
                     raise
-                except ReproError:
+                except ReproError as error:
                     if sequence == self._wal.last_sequence:
+                        warnings.warn(
+                            f"WAL replay dropped the final record "
+                            f"(sequence {sequence}), which the session "
+                            f"rejects: {type(error).__name__}: {error}",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
                         self._wal.drop_tail_record(sequence)
                         break
                     raise
@@ -339,23 +335,15 @@ class DurableSchemaSession(_DurableLog, SchemaSession):
     """
 
     def apply(self, change_set: ChangeSet) -> ChangeReport:
+        # Element inserts convert before they are logged: the record
+        # then carries the endpoints the union or store resolved.
+        change_set = self._as_columnar(change_set)
         if self._replaying:
             return super().apply(change_set)
         return _logged_apply(
             self,
-            _KIND_CHANGESET,
             change_set,
             lambda: super(DurableSchemaSession, self).apply(change_set),
-        )
-
-    def add_batch(self, batch: PropertyGraph) -> ChangeReport:
-        if self._replaying:
-            return super().add_batch(batch)
-        return _logged_apply(
-            self,
-            _KIND_BATCH,
-            ChangeSet.from_graph(batch),
-            lambda: super(DurableSchemaSession, self).add_batch(batch),
         )
 
     def checkpoint(self, path: str | Path | None = None) -> Path:
@@ -391,8 +379,9 @@ class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
     """A :class:`ShardedSchemaSession` with a parent-level WAL.
 
     Every change-set -- from :meth:`apply`, :meth:`add_batch` or
-    :meth:`ingest_stream` -- is logged once, in ``_stage``, *before* it
-    is partitioned, in the parent process; workers never touch the log.
+    :meth:`ingest_stream` -- is logged once, in ``_stage``, after its
+    element inserts converted and *before* it is partitioned, in the
+    parent process; workers never touch the log.
     Takes the session ``directory``, every :class:`ShardedSchemaSession`
     argument, and the log options of :class:`DurableSchemaSession`.
     Checkpoints are manifest directories ``checkpoint-<sequence>/``
@@ -413,7 +402,6 @@ class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
             return super()._stage(change_set)
         return _logged_apply(
             self,
-            _KIND_CHANGESET,
             change_set,
             lambda: super(DurableShardedSchemaSession, self)._stage(change_set),
         )

@@ -2,7 +2,6 @@
 
 The paper's pipeline is exposed through several historical entry points
 (:meth:`~repro.core.pipeline.PGHive.discover`, ``discover_incremental``,
-:class:`~repro.core.incremental.IncrementalSchemaDiscovery`,
 :class:`~repro.core.maintenance.MaintainedSchema`).  This module unifies
 them: every one of those surfaces is now a thin adapter over one
 :class:`SchemaSession`, which models discovery the way PG-Schema frames
@@ -63,17 +62,18 @@ from repro.core.state import DiscoveryState
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
-    DanglingEdgeError,
     MissingElementError,
 )
 from repro.graph.changes import ChangeSet
 from repro.graph.columnar import (
     ElementBatch,
     SignatureStore,
+    columnar_changeset,
     global_interner,
+    intern_element,
     value_shapes,
 )
-from repro.graph.model import Node, PropertyGraph
+from repro.graph.model import PropertyGraph
 from repro.schema.diff import SchemaDiff, diff_schemas
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
 from repro.util import Timer
@@ -296,88 +296,86 @@ class SchemaSession:
     def apply(self, change_set: ChangeSet) -> ChangeReport:
         """Apply one change-set: inserts first, then deletions.
 
-        The pipeline consumes only :class:`ElementBatch` inserts.  A
-        columnar payload is used as is; element inserts are resolved into
-        an endpoint-complete batch and converted once, here, at the
-        session boundary.
+        The pipeline consumes only :class:`ElementBatch` inserts.  Element
+        inserts convert once, here, through
+        :func:`~repro.graph.columnar.columnar_changeset`: an edge endpoint
+        the change-set does not carry becomes a stub row resolved against
+        the retained union graph, then an attached store.  A columnar
+        payload, even an empty one, is one pipeline step.
         """
         if change_set.has_deletions and self._union is None:
             raise ConfigurationError(
                 "deletions require the retained union graph: construct the "
                 "session with PGHiveConfig(retain_union=True)"
             )
+        change_set = self._as_columnar(change_set)
         columnar = change_set.columnar
+        inserted = (0, 0)
+        stubs: frozenset[str] = frozenset()
         if columnar is not None:
-            if change_set.nodes or change_set.edges:
-                raise ConfigurationError(
-                    "a change-set carries either element-wise or columnar "
-                    "inserts, not both"
-                )
             stubs = change_set.stub_node_ids
             if stubs:
                 # Guard against producers flagging ids they did not ship.
                 stubs = frozenset(stubs) & set(columnar.nodes.ids)
-            return self._apply(
-                None,
-                change_set.delete_edges,
-                change_set.delete_nodes,
-                inserted=(
-                    columnar.node_count - len(stubs),
-                    columnar.edge_count,
-                ),
-                exclude_record=stubs,
-                columnar=columnar if len(columnar) else None,
-            )
-        batch = self._insert_graph(change_set)
-        stubs = change_set.stub_node_ids
-        if stubs:
-            # Guard against producers flagging ids they did not ship.
-            stubs = frozenset(stubs) & {n.node_id for n in change_set.nodes}
+            inserted = (columnar.node_count - len(stubs), columnar.edge_count)
         return self._apply(
-            batch,
+            columnar,
             change_set.delete_edges,
             change_set.delete_nodes,
-            inserted=(len(change_set.nodes) - len(stubs), len(change_set.edges)),
+            inserted=inserted,
             exclude_record=stubs,
         )
 
     def add_batch(self, batch: PropertyGraph) -> ChangeReport:
         """Sugar: apply one insert-only property-graph batch.
 
-        Unlike :meth:`apply` on an insert-free change-set, an *empty*
+        The batch converts to one columnar change-set, so an *empty*
         batch still runs the pipeline step (fitting the preprocessor on
         the first batch, empty or not, exactly as the historical engine
-        did).
+        did), unlike :meth:`apply` on an insert-free change-set.
         """
-        return self._apply(
-            batch, (), (), inserted=(batch.node_count, batch.edge_count)
+        return self.apply(
+            ChangeSet.inserts_columnar(
+                ElementBatch.from_graph(batch, self._dstate.interner)
+            )
         )
+
+    def _as_columnar(self, change_set: ChangeSet) -> ChangeSet:
+        """The session's element boundary (see :meth:`apply`)."""
+        return columnar_changeset(
+            change_set,
+            self._dstate.interner or global_interner(),
+            self._endpoint_record,
+        )
+
+    def _endpoint_record(self, node_id: str) -> tuple[int, int, tuple] | None:
+        """Stub record of a node from the union graph, then the store."""
+        if self._union is not None and self._union.has_node(node_id):
+            node = self._union.node(node_id)
+        elif self._store is not None and self._store.graph.has_node(node_id):
+            node = self._store.node(node_id)
+        else:
+            return None
+        return intern_element(self._dstate.interner or global_interner(), node)
 
     def _apply(
         self,
-        batch: PropertyGraph | None,
+        columnar: ElementBatch | None,
         delete_edge_ids: Iterable[str],
         delete_node_ids: Iterable[str],
         inserted: tuple[int, int] = (0, 0),
         exclude_record: frozenset[str] = frozenset(),
-        columnar: ElementBatch | None = None,
     ) -> ChangeReport:
-        """Shared apply path.  ``batch`` (element inserts) and
-        ``columnar`` are alternatives; ``batch`` converts to columnar
-        here and is kept as the union-merge source.  ``inserted`` is the
-        *producer's* insert count -- endpoint stubs resolved into the
-        materialised batch are replays, not inserts, and must not
-        inflate the report.  ``exclude_record`` carries producer-marked
-        stub ids (sharded feeds): clustered but never recorded as
-        instances."""
+        """Shared apply path.  ``inserted`` is the *producer's* insert
+        count -- endpoint stub rows are replays, not inserts, and must
+        not inflate the report.  ``exclude_record`` carries the stub
+        ids: clustered but never recorded as instances."""
         self._sequence += 1
         nodes_deleted = edges_deleted = 0
         change_timer = Timer()
         with change_timer.measure("change"):
-            if batch is not None:
-                columnar = ElementBatch.from_graph(batch, self._dstate.interner)
             if columnar is not None:
-                self._ingest_columnar(columnar, exclude_record, batch)
+                self._ingest_columnar(columnar, exclude_record)
             if delete_edge_ids or delete_node_ids:
                 edges_deleted = self._delete_edges(delete_edge_ids)
                 nodes_deleted, cascaded = self._delete_nodes(delete_node_ids)
@@ -405,16 +403,13 @@ class SchemaSession:
         self,
         batch: ElementBatch,
         exclude_record: frozenset[str] = frozenset(),
-        graph: PropertyGraph | None = None,
     ) -> None:
         """Steps (b)-(d) for one insert batch, merging into the schema.
 
         When the session retains a union graph (deletions enabled), the
-        inserts are also merged element-wise into the union -- deletions
-        stay element-wise by design.  ``graph`` is the element form the
-        batch was converted from, if any: it is merged directly (or, for
-        an adopted union, not at all) instead of materialising the batch
-        back into elements.
+        rows it lacks are also merged into the union as elements --
+        deletions stay element-wise by design.  An adopted union already
+        holds every row, so nothing is materialised for it.
         """
         # The signature store keys refcounts by interner-local signature
         # ids; re-point it at the batch's interner (grow-only lineage, so
@@ -440,15 +435,9 @@ class SchemaSession:
             exclude_record=exclude_record,
             signatures=signatures,
         )
-        if self._union is not None and self._union is not graph:
-            self._union.merge_in(
-                graph
-                if graph is not None
-                # repro-lint: ignore[PGL301] -- union retention is an opt-in element-wise feature; the columnar fast path skips this branch entirely
-                else batch.to_property_graph(
-                    f"{self.schema_name}-change{self._sequence}"
-                )
-            )
+        if self._union is not None:
+            # repro-lint: ignore[PGL301] -- union retention is an opt-in element-wise feature; the columnar fast path skips this branch entirely
+            batch.merge_into_graph(self._union)
         # Adopting the batch's interner per change-set is safe here: no
         # session state stores interner-local ids across batches (schema,
         # accumulators, and signature caches are content-keyed), and
@@ -472,38 +461,6 @@ class SchemaSession:
                 "union-retaining session"
             )
         self._union = graph
-
-    def _insert_graph(self, change_set: ChangeSet) -> PropertyGraph | None:
-        """Materialise the change-set's inserts as a well-formed batch.
-
-        Edges whose endpoints are not in the change-set resolve against the
-        retained union graph, then an attached store; an unresolvable
-        endpoint is an error, matching the batch-stream convention that
-        every fragment ships endpoint stubs.
-        """
-        if not change_set.has_inserts:
-            return None
-        batch = PropertyGraph(f"{self.schema_name}-change{self._sequence + 1}")
-        for node in change_set.nodes:
-            batch.put_node(node)
-        for edge in change_set.edges:
-            for endpoint_id in edge.endpoints():
-                if not batch.has_node(endpoint_id):
-                    batch.add_node(self._resolve_endpoint(endpoint_id, edge))
-            if not batch.has_edge(edge.edge_id):
-                batch.add_edge(edge)
-        return batch
-
-    def _resolve_endpoint(self, node_id: str, edge) -> Node:
-        if self._union is not None and self._union.has_node(node_id):
-            return self._union.node(node_id)
-        if self._store is not None and self._store.graph.has_node(node_id):
-            return self._store.node(node_id)
-        raise DanglingEdgeError(
-            f"change-set edge {edge.edge_id!r} references unknown node "
-            f"{node_id!r}; ship an endpoint stub in the change-set, retain "
-            "the union graph, or attach the originating GraphStore"
-        )
 
     # ------------------------------------------------------------------
     # Deletions (gated on the retained union; see module docstring)

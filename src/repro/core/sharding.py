@@ -4,9 +4,12 @@ The incremental-view-maintenance literature's standard route to parallel
 maintenance -- partition the change feed, keep mergeable per-partition
 state, combine on read -- applied to PG-HIVE:
 
-* Element-wise inserts convert once, at the top of the coordinator, into
-  one columnar :class:`~repro.graph.columnar.ElementBatch` on the
-  session's interner; past that point every change-set is columnar.
+* Element-wise inserts convert once, before staging (and so before the
+  durable subclass logs them), into one columnar
+  :class:`~repro.graph.columnar.ElementBatch` on the session's interner,
+  through the converter the single session uses
+  (:func:`~repro.graph.columnar.columnar_changeset`); past that point
+  every change-set is columnar or deletion-only.
   :func:`~repro.graph.columnar.partition_columnar` then routes every node
   and edge row to one of ``n_shards`` per-shard
   :class:`~repro.core.session.SchemaSession`\\ s by stable content
@@ -84,14 +87,13 @@ from repro.core.state import DiscoveryState
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
-    DanglingEdgeError,
     DegradedModeWarning,
 )
 from repro.graph.changes import ChangeSet, HashPartitioner
 from repro.graph.columnar import (
-    BatchBuilder,
     Interner,
     SignatureStore,
+    columnar_changeset,
     global_interner,
     partition_columnar,
     value_shapes,
@@ -477,7 +479,7 @@ class ShardedSchemaSession:
         This is :meth:`ingest_stream` with a window of one: the same
         stage/finish path, collected before returning.
         """
-        return self._finish(*self._stage(change_set))
+        return self._finish(*self._stage(self._as_columnar(change_set)))
 
     def _prepare(self, change_set: ChangeSet) -> _PreparedChange:
         """Stage one change-set: seed registry/signatures and partition.
@@ -491,7 +493,6 @@ class ShardedSchemaSession:
                 "deletions require retained union graphs: construct the "
                 "sharded session with PGHiveConfig(retain_union=True)"
             )
-        change_set = self._as_columnar(change_set)
         interner_before = self._interner
         pinned_before = self._interner_pinned
         seeded: list[str] = []
@@ -551,47 +552,11 @@ class ShardedSchemaSession:
         return prepared
 
     def _as_columnar(self, change_set: ChangeSet) -> ChangeSet:
-        """Convert element inserts to one columnar change-set.
-
-        The batch builds on the session's interner.  An edge endpoint the
-        change-set does not carry becomes a stub row copied from its
-        registry record and marked in ``stub_node_ids``, exactly like the
-        stub rows columnar producers ship; an endpoint with no registry
-        record raises :class:`DanglingEdgeError` before anything is
-        seeded.  Columnar and deletion-only change-sets pass through.
-        """
-        if not (change_set.nodes or change_set.edges):
-            return change_set
-        if change_set.columnar is not None:
-            raise ConfigurationError(
-                "a change-set carries either element-wise or columnar "
-                "inserts, not both"
-            )
-        builder = BatchBuilder(self._interner)
-        for node in change_set.nodes:
-            builder.put_node_element(node)
-        stubs = set(change_set.stub_node_ids)
-        for edge in change_set.edges:
-            for endpoint_id in edge.endpoints():
-                if builder.has_node(endpoint_id):
-                    continue
-                record = self._registry.get(endpoint_id)
-                if record is None:
-                    raise DanglingEdgeError(
-                        f"change-set edge {edge.edge_id!r} references node "
-                        f"{endpoint_id!r}, which is neither in the "
-                        "change-set nor known to the partitioner's node "
-                        "lookup"
-                    )
-                builder.add_node(endpoint_id, *record)
-                stubs.add(endpoint_id)
-            builder.add_edge_element(edge)
-        return ChangeSet(
-            delete_nodes=list(change_set.delete_nodes),
-            delete_edges=list(change_set.delete_edges),
-            stub_node_ids=frozenset(stubs),
-            columnar=builder.freeze(),
-        )
+        """The coordinator's element boundary: element inserts convert on
+        the session's interner, endpoints the change-set does not carry
+        resolve against the node registry
+        (:func:`~repro.graph.columnar.columnar_changeset`)."""
+        return columnar_changeset(change_set, self._interner, self._registry.get)
 
     def _rollback(self, prepared: _PreparedChange) -> None:
         """Un-stage a rejected change-set.
@@ -788,7 +753,7 @@ class ShardedSchemaSession:
                     )
                 ):
                     reports.append(self._finish(*window.popleft()))
-                window.append(self._stage(change_set))
+                window.append(self._stage(self._as_columnar(change_set)))
             while window:
                 reports.append(self._finish(*window.popleft()))
         except BaseException:
@@ -806,7 +771,7 @@ class ShardedSchemaSession:
     def _stage(
         self, change_set: ChangeSet
     ) -> tuple[_PreparedChange, int, _InflightDispatch, float]:
-        """Stage, submit and commit one change-set.
+        """Stage, submit and commit one columnar or deletion-only change-set.
 
         Coordinator effects commit at submission, so a rejection here
         (staging or submission) rolls back and leaves the stream

@@ -9,11 +9,16 @@ instead of replaying whole graphs, producers describe what changed.
 
 Conventions:
 
-* Inserts are full :class:`~repro.graph.model.Node` / ``Edge`` elements.
-  An edge whose endpoints are not part of the same change-set is legal;
-  the consumer resolves the endpoints against its retained union graph or
-  an attached :class:`~repro.graph.store.GraphStore` (or the producer
-  ships endpoint stubs, exactly as batch streams do).
+* Inserts are either a columnar :class:`~repro.graph.columnar.ElementBatch`
+  (``columnar``) or full :class:`~repro.graph.model.Node` / ``Edge``
+  elements, never both.  Element inserts are producer-side convenience:
+  every session converts them once, at its boundary and before logging,
+  into one columnar change-set
+  (:func:`repro.graph.columnar.columnar_changeset`).  An edge whose
+  endpoints are not part of the same change-set is legal; the converter
+  resolves each such endpoint through the session's lookup (retained
+  union graph, attached :class:`~repro.graph.store.GraphStore`, or the
+  sharded node registry) into a stub row.
 * Deletions are bare identifiers.  Deleting a node implies deleting its
   incident edges (the consumer cascades).
 * Within one change-set, inserts are applied before deletions.
@@ -23,7 +28,9 @@ Conventions:
   batch assembly and clustering context but do not record them as fresh
   instances -- the property that keeps instance and property counts
   exact when several consumers (shards) each see a stub copy of the same
-  node.
+  node, and signature refcounts equal to live instance counts.
+* Only columnar and deletion-only change-sets have a WAL wire form
+  (:meth:`ChangeSet.to_wire`); element-wise inserts are converted first.
 
 The module also provides :class:`HashPartitioner`, the stable id routing
 of sharded discovery (the split itself is
@@ -69,7 +76,7 @@ class ChangeSet:
     #: columnar insert payload (:class:`repro.graph.columnar.ElementBatch`).
     #: Mutually exclusive with element-wise ``nodes``/``edges`` inserts;
     #: ``stub_node_ids`` then names stub *rows* of the batch.  Deletions
-    #: stay element-wise (bare identifiers) either way.
+    #: are bare identifiers either way.
     columnar: "ElementBatch | None" = None
 
     # ------------------------------------------------------------------
@@ -168,20 +175,26 @@ class ChangeSet:
     # WAL wire encoding
     # ------------------------------------------------------------------
     def to_wire(self) -> bytes:
-        """Serialise for the write-ahead log.
+        """Serialise a columnar or deletion-only change-set for the WAL.
 
-        Element-wise payloads ship their :class:`Node`/:class:`Edge`
-        objects directly; columnar payloads are encoded by *content*
-        (ids, sorted labels, sorted keys, aligned values) -- interner ids
-        are process-local and must never hit disk.  Rows are grouped by
-        structure: each distinct (labels, keys) combination is written
-        once, followed by its rows' ids and values, so repeat-heavy
-        change-sets pay per distinct structure rather than per row.  The
-        whole record is deflate-compressed.  :meth:`from_wire` rebuilds
-        the batch against the reading process's interner, preserving row
-        order within every structure group and first-occurrence order
-        across groups (which is what clustering keys on).
+        Columnar payloads are encoded by *content* (ids, sorted labels,
+        sorted keys, aligned values) -- interner ids are process-local
+        and must never hit disk.  Rows are grouped by structure: each
+        distinct (labels, keys) combination is written once, followed by
+        its rows' ids and values, so repeat-heavy change-sets pay per
+        distinct structure rather than per row.  The whole record is
+        deflate-compressed.  :meth:`from_wire` rebuilds the batch against
+        the reading process's interner, preserving row order within
+        every structure group and first-occurrence order across groups
+        (which is what clustering keys on).  Element-wise inserts have
+        no wire form and raise :class:`WALError`: sessions convert them
+        (:func:`repro.graph.columnar.columnar_changeset`) before logging.
         """
+        if self.nodes or self.edges:
+            raise WALError(
+                "element-wise change-sets have no wire form; convert them "
+                "with repro.graph.columnar.columnar_changeset first"
+            )
         record: dict = {
             "version": WIRE_VERSION,
             "delete_nodes": list(self.delete_nodes),
@@ -189,7 +202,11 @@ class ChangeSet:
             "stubs": sorted(self.stub_node_ids),
         }
         batch = self.columnar
-        if batch is not None:
+        if batch is None:
+            # The historical "elements" tag with empty insert lists keeps
+            # deletion-only frames byte-identical to earlier builds.
+            record.update(kind="elements", nodes=[], edges=[])
+        else:
             interner = batch.interner
             record["kind"] = "columnar"
             record["node_groups"] = _group_rows(
@@ -198,20 +215,6 @@ class ChangeSet:
             record["edge_groups"] = _group_rows(
                 interner, batch.edges, edges=True
             )
-        else:
-            # Primitive tuples, not Node/Edge objects: dataclass pickling
-            # pays per-object reduce dispatch, which dominates WAL append
-            # cost on large element-wise change-sets.
-            record["kind"] = "elements"
-            record["nodes"] = [
-                (n.node_id, sorted(n.labels), n.properties)
-                for n in self.nodes
-            ]
-            record["edges"] = [
-                (e.edge_id, e.source_id, e.target_id, sorted(e.labels),
-                 e.properties)
-                for e in self.edges
-            ]
         payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         return _WIRE_V2_PREFIX + zlib.compress(payload, 1)
 
@@ -221,10 +224,11 @@ class ChangeSet:
     ) -> "ChangeSet":
         """Decode :meth:`to_wire` output (see its docstring for caveats).
 
-        Only version-2 frames decode; anything else raises
-        :class:`WALError`.  Columnar payloads rebuild against
-        ``interner`` (the process-wide one by default).  Only decode
-        records from trusted sources: the payload is a pickle.
+        Only version-2 columnar or deletion-only frames decode; anything
+        else -- an element frame included -- raises :class:`WALError`.
+        Columnar payloads rebuild against ``interner`` (the process-wide
+        one by default).  Only decode records from trusted sources: the
+        payload is a pickle.
         """
         if data[:1] != _WIRE_V2_PREFIX:
             raise WALError(
@@ -244,46 +248,41 @@ class ChangeSet:
                 f"unsupported change-set wire version {version!r} "
                 f"(this build reads version {WIRE_VERSION})"
             )
-        stubs = frozenset(record["stubs"])
+        columnar = None
         if record["kind"] == "columnar":
-            from repro.graph.columnar import BatchBuilder, global_interner
-
-            builder = BatchBuilder(interner or global_interner())
-            target = builder.interner
-            for labels, keys, rows in record["node_groups"]:
-                labelset_id = target.intern_labels(labels)
-                keyset_id = target.intern_keys(keys)
-                for node_id, values in rows:
-                    builder.add_node(
-                        node_id, labelset_id, keyset_id, tuple(values)
-                    )
-            for labels, keys, rows in record["edge_groups"]:
-                labelset_id = target.intern_labels(labels)
-                keyset_id = target.intern_keys(keys)
-                for edge_id, src, tgt, values in rows:
-                    builder.add_edge(
-                        edge_id, src, tgt, labelset_id, keyset_id,
-                        tuple(values),
-                    )
-            return cls(
-                delete_nodes=list(record["delete_nodes"]),
-                delete_edges=list(record["delete_edges"]),
-                stub_node_ids=stubs,
-                columnar=builder.freeze(),
+            columnar = _rebuild_batch(record, interner)
+        elif record.get("nodes") or record.get("edges"):
+            raise WALError(
+                "undecodable change-set wire record: an element-wise "
+                "insert frame (this build logs columnar inserts only)"
             )
         return cls(
-            nodes=[
-                Node(node_id, frozenset(labels), properties)
-                for node_id, labels, properties in record["nodes"]
-            ],
-            edges=[
-                Edge(edge_id, src, tgt, frozenset(labels), properties)
-                for edge_id, src, tgt, labels, properties in record["edges"]
-            ],
             delete_nodes=list(record["delete_nodes"]),
             delete_edges=list(record["delete_edges"]),
-            stub_node_ids=stubs,
+            stub_node_ids=frozenset(record["stubs"]),
+            columnar=columnar,
         )
+
+
+def _rebuild_batch(record: dict, interner: "Interner | None") -> "ElementBatch":
+    """The :class:`ElementBatch` of a columnar wire record."""
+    from repro.graph.columnar import BatchBuilder, global_interner
+
+    builder = BatchBuilder(interner or global_interner())
+    target = builder.interner
+    for labels, keys, rows in record["node_groups"]:
+        labelset_id = target.intern_labels(labels)
+        keyset_id = target.intern_keys(keys)
+        for node_id, values in rows:
+            builder.add_node(node_id, labelset_id, keyset_id, tuple(values))
+    for labels, keys, rows in record["edge_groups"]:
+        labelset_id = target.intern_labels(labels)
+        keyset_id = target.intern_keys(keys)
+        for edge_id, src, tgt, values in rows:
+            builder.add_edge(
+                edge_id, src, tgt, labelset_id, keyset_id, tuple(values)
+            )
+    return builder.freeze()
 
 
 def _group_rows(interner, block, edges: bool) -> list:

@@ -24,9 +24,12 @@ This module provides that representation:
   value columns (``rows`` index array + object values), and, for edges,
   endpoint ids and endpoint label-token string ids.
   ``from_elements``/``to_elements`` convert to and from the dataclass
-  world (sessions convert element inputs once, at their boundary);
-  :class:`BatchBuilder` appends raw rows so file readers ingest without
-  ever instantiating a ``Node``/``Edge``.
+  world; :class:`BatchBuilder` appends raw rows so file readers ingest
+  without ever instantiating a ``Node``/``Edge``.
+* :func:`columnar_changeset` -- the element boundary of both sessions:
+  an element change-set becomes one columnar change-set, endpoints it
+  does not carry resolved through a lookup into stub rows, before the
+  change-set is logged or applied.
 * :func:`columnar_changesets_from_rows` -- the one change-feed grouper:
   groups a raw row stream into endpoint-complete insert
   :class:`ChangeSet`\\ s whose payload is an :class:`ElementBatch` (stub
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from hashlib import blake2b
 from typing import TYPE_CHECKING
 
@@ -963,13 +966,50 @@ class ElementBatch:
     def to_property_graph(self, name: str = "batch") -> PropertyGraph:
         """Materialise the batch as a :class:`PropertyGraph`."""
         graph = PropertyGraph(name)
-        nodes, edges = self.to_elements()
-        for node in nodes:
-            graph.put_node(node)
-        for edge in edges:
-            if not graph.has_edge(edge.edge_id):
-                graph.add_edge(edge)
+        self.merge_into_graph(graph)
         return graph
+
+    def merge_into_graph(self, graph: PropertyGraph) -> None:
+        """Add every row whose id ``graph`` lacks, as a ``Node``/``Edge``.
+
+        First version wins, as in :meth:`PropertyGraph.merge_in`, and a
+        row already in ``graph`` is skipped before it is materialised:
+        merging a batch into the graph it was built from (a static
+        discovery's adopted union) costs one id lookup per row.
+        """
+        interner = self.interner
+        labelsets, keysets = interner._labelsets, interner._keysets
+        nodes = self.nodes
+        for node_id, labelset_id, keyset_id, values in zip(
+            nodes.ids, nodes.labelset_list, nodes.keyset_list, nodes.value_rows
+        ):
+            if not graph.has_node(node_id):
+                graph.add_node(
+                    Node(
+                        node_id,
+                        labelsets[labelset_id].labels,
+                        dict(zip(keysets[keyset_id].keys, values)),
+                    )
+                )
+        edges = self.edges
+        for edge_id, source_id, target_id, labelset_id, keyset_id, values in zip(
+            edges.ids,
+            edges.source_ids,
+            edges.target_ids,
+            edges.labelset_list,
+            edges.keyset_list,
+            edges.value_rows,
+        ):
+            if not graph.has_edge(edge_id):
+                graph.add_edge(
+                    Edge(
+                        edge_id,
+                        source_id,
+                        target_id,
+                        labelsets[labelset_id].labels,
+                        dict(zip(keysets[keyset_id].keys, values)),
+                    )
+                )
 
     # ------------------------------------------------------------------
     # Row records (stub shipping / partitioning)
@@ -1392,6 +1432,61 @@ def changesets_from_elements(
 
 
 # ----------------------------------------------------------------------
+# The element boundary of the sessions
+# ----------------------------------------------------------------------
+def columnar_changeset(
+    change_set: ChangeSet,
+    interner: Interner,
+    endpoint: Callable[[str], tuple[int, int, tuple] | None],
+) -> ChangeSet:
+    """Convert an element change-set into one columnar change-set.
+
+    The one element boundary of :class:`~repro.core.session.SchemaSession`
+    and :class:`~repro.core.sharding.ShardedSchemaSession`, run before a
+    change-set is logged or applied.  Nodes and edges intern on
+    ``interner``.  An edge endpoint the change-set does not carry becomes
+    a stub row built from ``endpoint(node_id)`` -- a compact
+    ``(labelset_id, keyset_id, values)`` record on ``interner`` -- and is
+    marked in ``stub_node_ids``, like the stub rows columnar producers
+    ship; an endpoint the lookup does not know raises
+    :class:`DanglingEdgeError`.  Columnar and deletion-only change-sets
+    pass through unchanged.
+    """
+    if not (change_set.nodes or change_set.edges):
+        return change_set
+    if change_set.columnar is not None:
+        raise ConfigurationError(
+            "a change-set carries either element-wise or columnar "
+            "inserts, not both"
+        )
+    builder = BatchBuilder(interner)
+    for node in change_set.nodes:
+        builder.put_node_element(node)
+    stubs = set(change_set.stub_node_ids)
+    for edge in change_set.edges:
+        for endpoint_id in edge.endpoints():
+            if builder.has_node(endpoint_id):
+                continue
+            record = endpoint(endpoint_id)
+            if record is None:
+                raise DanglingEdgeError(
+                    f"change-set edge {edge.edge_id!r} references node "
+                    f"{endpoint_id!r}, which is neither in the change-set "
+                    "nor known to the session; ship it in the change-set "
+                    "or as an endpoint stub"
+                )
+            builder.add_node(endpoint_id, *record)
+            stubs.add(endpoint_id)
+        builder.add_edge_element(edge)
+    return ChangeSet(
+        delete_nodes=list(change_set.delete_nodes),
+        delete_edges=list(change_set.delete_edges),
+        stub_node_ids=frozenset(stubs),
+        columnar=builder.freeze(),
+    )
+
+
+# ----------------------------------------------------------------------
 # Sharded partitioning over the id column
 # ----------------------------------------------------------------------
 def partition_columnar(
@@ -1479,6 +1574,7 @@ __all__ = [
     "TokenPattern",
     "ValueColumn",
     "changesets_from_elements",
+    "columnar_changeset",
     "columnar_changesets_from_rows",
     "global_interner",
     "intern_element",

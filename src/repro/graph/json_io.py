@@ -110,6 +110,10 @@ def columnar_rows_from_records(
     keyset_cache: dict[tuple[str, ...], tuple[int, tuple[str, ...]]] = {}
     for record in records:
         kind = record.get("kind")
+        if kind not in ("node", "edge"):
+            # Checked before interning: a bad record must not grow the
+            # interner.
+            raise SerializationError(f"unknown record kind: {kind!r}")
         labels = tuple(record.get("labels", ()))
         labelset_id = label_cache.get(labels)
         if labelset_id is None:
@@ -126,7 +130,7 @@ def columnar_rows_from_records(
         values = tuple([properties[key] for key in sorted_keys])
         if kind == "node":
             yield "n", (record["id"], labelset_id, keyset_id, values)
-        elif kind == "edge":
+        else:
             yield "e", (
                 record["id"],
                 record["source"],
@@ -135,8 +139,6 @@ def columnar_rows_from_records(
                 keyset_id,
                 values,
             )
-        else:
-            raise SerializationError(f"unknown record kind: {kind!r}")
 
 
 def _iter_records_jsonl(path: Path, cursor: list[int]) -> Iterator[dict]:
@@ -153,21 +155,23 @@ def _iter_records_jsonl(path: Path, cursor: list[int]) -> Iterator[dict]:
             except json.JSONDecodeError as exc:
                 if not line.strip():
                     continue
-                raise SerializationError(
-                    f"{path}:{cursor[0]}: invalid JSON ({exc})"
-                ) from exc
+                raise SerializationError(f"invalid JSON ({exc})") from exc
 
 
 @contextmanager
 def _malformed_records(path: Path, cursor: list[int]) -> Iterator[None]:
-    """Re-raise a parser's failure on a malformed record as a typed error.
+    """Re-raise a failure on a malformed line as one naming ``path:line``.
 
-    A non-object line, a missing ``id``/``source``/``target`` or
-    unhashable labels fail either parser; the failure surfaces as a
-    :class:`SerializationError` naming ``path:line``.
+    Invalid JSON and an unknown record ``kind`` already raise
+    :class:`SerializationError`; a non-object line, a missing
+    ``id``/``source``/``target`` or unhashable labels fail either parser
+    with a builtin error.  Both surface as a :class:`SerializationError`
+    prefixed with ``path:line``.
     """
     try:
         yield
+    except SerializationError as exc:
+        raise SerializationError(f"{path}:{cursor[0]}: {exc}") from exc
     except (AttributeError, KeyError, TypeError) as exc:
         raise SerializationError(
             f"{path}:{cursor[0]}: malformed record ({exc!r})"

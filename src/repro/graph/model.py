@@ -357,7 +357,7 @@ class PropertyGraph:
         return sub
 
     def merge_in(self, other: "PropertyGraph") -> "PropertyGraph":
-        """Union ``other`` into this graph in place; later elements win."""
+        """Union ``other`` into this graph in place; the first version wins."""
         for node in other.nodes():
             if not self.has_node(node.node_id):
                 self.add_node(node)

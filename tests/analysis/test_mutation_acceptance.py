@@ -83,7 +83,7 @@ def test_logging_after_apply_fires_pgl701(tmp_path):
         tmp_path,
         original,
         "    sequence = session._sequence + 1\n"
-        "    session._wal.append(sequence, kind + change_set.to_wire())\n"
+        "    session._wal.append(sequence, _KIND_CHANGESET + change_set.to_wire())\n"
         "    try:\n"
         "        return run()\n"
         "    except Exception:\n"
@@ -92,7 +92,7 @@ def test_logging_after_apply_fires_pgl701(tmp_path):
         "        raise\n",
         "    sequence = session._sequence + 1\n"
         "    result = run()\n"
-        "    session._wal.append(sequence, kind + change_set.to_wire())\n"
+        "    session._wal.append(sequence, _KIND_CHANGESET + change_set.to_wire())\n"
         "    return result\n",
     )
     fired = run_rules([rule], target)
@@ -100,7 +100,7 @@ def test_logging_after_apply_fires_pgl701(tmp_path):
     assert {rule_id for _, rule_id in fired} == {"PGL701"}
     # Every durable change-feed method routes through the reordered
     # helper, and the violation anchors inside the feed methods (the
-    # inlined ``super().apply`` / ``super().add_batch`` call sites).
+    # inlined ``super().apply`` call site).
     apply_anchor = _line_of(
         mutated, "lambda: super(DurableSchemaSession, self).apply"
     )
@@ -123,7 +123,6 @@ def test_unlogged_sharded_stage_fires_pgl701(tmp_path):
         "            return super()._stage(change_set)\n"
         "        return _logged_apply(\n"
         "            self,\n"
-        "            _KIND_CHANGESET,\n"
         "            change_set,\n"
         "            lambda: super(DurableShardedSchemaSession, self)"
         "._stage(change_set),\n"

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.config import ClusteringMethod, PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
 from repro.core.pipeline import PGHive
+from repro.core.session import SchemaSession
 from repro.graph.batching import split_into_batches
 from repro.schema.model import subsumes
 
@@ -28,24 +28,24 @@ class TestIncrementalDiscovery:
     def test_monotone_chain(self, figure1_graph, method):
         # Section 4.6: S_i is subsumed by S_{i+1} for every batch i.
         config = PGHiveConfig(method=method, seed=0, post_processing=False)
-        engine = IncrementalSchemaDiscovery(config)
+        session = SchemaSession(config)
         snapshots = []
         for batch in split_into_batches(figure1_graph, 4, seed=1):
-            engine.add_batch(batch)
-            snapshots.append(engine.schema.copy())
+            session.add_batch(batch)
+            snapshots.append(session.schema_graph.copy())
         for earlier, later in zip(snapshots, snapshots[1:]):
             assert subsumes(later, earlier)
 
     def test_batch_reports(self, figure1_graph, method):
         config = PGHiveConfig(method=method, seed=0)
-        engine = IncrementalSchemaDiscovery(config)
+        session = SchemaSession(config)
         batches = split_into_batches(figure1_graph, 3, seed=2)
         for index, batch in enumerate(batches, start=1):
-            report = engine.add_batch(batch)
-            assert report.batch_index == index
+            report = session.add_batch(batch)
+            assert report.sequence == index
             assert report.seconds >= 0.0
-            assert report.nodes == batch.node_count
-        result = engine.finalize()
+            assert report.nodes_inserted == batch.node_count
+        result = session.finalize()
         assert result.batches_processed == 3
         assert len(result.batch_seconds) == 3
 
@@ -53,29 +53,29 @@ class TestIncrementalDiscovery:
 class TestPostProcessingSchedule:
     def test_final_only_by_default(self, figure1_graph):
         config = PGHiveConfig(seed=0)
-        engine = IncrementalSchemaDiscovery(config)
+        session = SchemaSession(config)
         batches = split_into_batches(figure1_graph, 2, seed=3)
-        engine.add_batch(batches[0])
-        mid_types = list(engine.schema.node_types())
+        session.add_batch(batches[0])
+        mid_types = list(session.schema_graph.node_types())
         # Before finalize, datatypes are still unset.
         assert all(
             spec.data_type is None
             for node_type in mid_types
             for spec in node_type.properties.values()
         )
-        engine.add_batch(batches[1])
-        result = engine.finalize()
+        session.add_batch(batches[1])
+        result = session.finalize()
         person = result.schema.node_type_by_token("Person")
         assert person.properties["name"].data_type is not None
 
     def test_per_batch_post_processing_flag(self, figure1_graph):
         config = PGHiveConfig(seed=0, post_process_each_batch=True)
-        engine = IncrementalSchemaDiscovery(config)
+        session = SchemaSession(config)
         batches = split_into_batches(figure1_graph, 2, seed=3)
-        engine.add_batch(batches[0])
+        session.add_batch(batches[0])
         has_any_datatype = any(
             spec.data_type is not None
-            for node_type in engine.schema.node_types()
+            for node_type in session.schema_graph.node_types()
             for spec in node_type.properties.values()
         )
         assert has_any_datatype

@@ -1,6 +1,6 @@
-"""Cross-batch persistent-state tests for the incremental engine.
+"""Cross-batch persistent-state tests for the incremental session.
 
-The engine must keep one fitted preprocessor and one set of MinHash
+The session must keep one fitted preprocessor and one set of MinHash
 signature caches alive across ``add_batch`` calls (instead of rebuilding
 them per batch) *without* changing what schema comes out.
 """
@@ -8,8 +8,8 @@ them per batch) *without* changing what schema comes out.
 import pytest
 
 from repro.core.config import ClusteringMethod, PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
 from repro.core.pipeline import PGHive, PipelineState
+from repro.core.session import SchemaSession
 from repro.graph.batching import split_into_batches
 
 
@@ -20,15 +20,15 @@ def batches(figure1_graph):
 
 class TestStatePersistence:
     def test_preprocessor_fitted_once_and_reused(self, batches):
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
-        engine.add_batch(batches[0])
-        preprocessor = engine.state.preprocessor
+        session = SchemaSession(PGHiveConfig(seed=0))
+        session.add_batch(batches[0])
+        preprocessor = session.state.preprocessor
         assert preprocessor is not None
         model = preprocessor.model
         for batch in batches[1:]:
-            engine.add_batch(batch)
-            assert engine.state.preprocessor is preprocessor
-            assert engine.state.preprocessor.model is model
+            session.add_batch(batch)
+            assert session.state.preprocessor is preprocessor
+            assert session.state.preprocessor.model is model
 
     def test_minhash_signature_cache_survives_batches(self, batches):
         from repro.core.config import AdaptiveOverrides
@@ -41,16 +41,16 @@ class TestStatePersistence:
             node_lsh=AdaptiveOverrides(num_tables=8),
             edge_lsh=AdaptiveOverrides(num_tables=8),
         )
-        engine = IncrementalSchemaDiscovery(config)
+        session = SchemaSession(config)
         sizes: list[int] = []
         instances: set[int] = set()
         for batch in batches:
-            engine.add_batch(batch)
-            instances.update(id(lsh) for lsh in engine.state.minhash_cache.values())
+            session.add_batch(batch)
+            instances.update(id(lsh) for lsh in session.state.minhash_cache.values())
             sizes.append(
                 sum(
                     len(lsh._signature_cache)
-                    for lsh in engine.state.minhash_cache.values()
+                    for lsh in session.state.minhash_cache.values()
                 )
             )
         # One instance per kind for the whole stream, never rebuilt.
@@ -60,11 +60,11 @@ class TestStatePersistence:
         assert all(later >= earlier for earlier, later in zip(sizes, sizes[1:]))
 
     def test_embedding_cache_grows_not_resets(self, batches):
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
+        session = SchemaSession(PGHiveConfig(seed=0))
         seen: list[set[str]] = []
         for batch in batches:
-            engine.add_batch(batch)
-            seen.append(set(engine.state.preprocessor._embedding_cache))
+            session.add_batch(batch)
+            seen.append(set(session.state.preprocessor._embedding_cache))
         assert seen[-1]
         assert all(earlier <= later for earlier, later in zip(seen, seen[1:]))
 
@@ -72,15 +72,15 @@ class TestStatePersistence:
     def test_persistent_state_schema_matches_stateless(
         self, figure1_graph, method
     ):
-        # Same stream through the stateful engine and through per-batch
+        # Same stream through the stateful session and through per-batch
         # fresh state must agree on the discovered type inventory.
         config = PGHiveConfig(method=method, seed=0)
         stream = split_into_batches(figure1_graph, 3, seed=4)
 
-        engine = IncrementalSchemaDiscovery(config)
+        session = SchemaSession(config)
         for batch in stream:
-            engine.add_batch(batch)
-        stateful = engine.finalize()
+            session.add_batch(batch)
+        stateful = session.finalize()
 
         pipeline = PGHive(config)
         from repro.core.pipeline import DiscoveryResult

@@ -8,6 +8,7 @@ does recovery raise (never a silent restart from scratch).
 """
 
 import shutil
+import warnings
 
 import pytest
 
@@ -23,8 +24,14 @@ from repro.core.sharding import ShardedSchemaSession
 from repro.errors import CheckpointError, ConfigurationError
 from repro.graph.batching import split_into_batches
 from repro.graph.changes import ChangeSet
-from repro.graph.columnar import BatchBuilder, Interner
-from repro.graph.model import Edge, Node
+from repro.graph.columnar import (
+    BatchBuilder,
+    Interner,
+    columnar_changeset,
+    global_interner,
+)
+from repro.graph.model import Edge, Node, PropertyGraph
+from repro.graph.store import GraphStore
 from repro.schema.model import schema_fingerprint
 
 CONFIG = PGHiveConfig(seed=0, infer_keys=True)
@@ -64,6 +71,11 @@ def columnar_feed(rounds=4):
             builder.add_node(f"c{round_}-{i}", labels, keys, (i,))
         feed.append(ChangeSet.inserts_columnar(builder.freeze()))
     return feed
+
+
+def as_columnar(change_set):
+    """A self-contained element change-set as its columnar form."""
+    return columnar_changeset(change_set, global_interner(), lambda _: None)
 
 
 def oracle_fingerprint(feed):
@@ -162,6 +174,35 @@ class TestDurableSchemaSession:
             oracle.schema()
         )
 
+    def test_empty_first_batch_is_a_logged_pipeline_step(
+        self, figure1_graph, tmp_path
+    ):
+        # add_batch logs a columnar batch even when it is empty, so the
+        # preprocessor fits on it live and again on replay.
+        batches = [
+            PropertyGraph("empty"),
+            *split_into_batches(figure1_graph, 2, seed=4),
+        ]
+        oracle = SchemaSession(CONFIG, schema_name="s")
+        for batch in batches:
+            oracle.add_batch(batch)
+        directory = tmp_path / "sess"
+        session = DurableSchemaSession(
+            directory, CONFIG, schema_name="s", fsync="off"
+        )
+        session.add_batch(batches[0])
+        assert session.state.preprocessor is not None
+        for batch in batches[1:]:
+            session.add_batch(batch)
+        del session
+        recovered = DurableSchemaSession.recover(
+            directory, config=CONFIG, schema_name="s", fsync="off"
+        )
+        assert recovered.sequence == 3
+        assert schema_fingerprint(recovered.schema()) == schema_fingerprint(
+            oracle.schema()
+        )
+
     def test_columnar_feed_recovers(self, tmp_path):
         feed = columnar_feed()
         directory = tmp_path / "sess"
@@ -221,6 +262,41 @@ class TestDurableSchemaSession:
         session.close()
         with pytest.raises(ConfigurationError, match="recover"):
             DurableSchemaSession(directory, CONFIG, schema_name="s")
+
+
+class TestStoreFedRecovery:
+    """Endpoints an attached store resolved are logged as stub rows.
+
+    Replay has no store, so a record that needed the store's nodes to
+    rebuild its edge could not replay: mid-log it raised
+    ``DanglingEdgeError``, and as the final record it was dropped as an
+    unacknowledged tail although its apply had been acknowledged.
+    """
+
+    @pytest.mark.parametrize("edge_last", [False, True], ids=["mid", "last"])
+    def test_store_resolved_edge_recovers(self, tmp_path, edge_last):
+        directory = tmp_path / "sess"
+        session = DurableSchemaSession(
+            directory, CONFIG, schema_name="s", fsync="always"
+        )
+        store = GraphStore()
+        store.attach(session)
+        store.add_node(Node("a", {"P"}, {"x": 1}))
+        store.add_node(Node("b", {"P"}, {"x": 2}))
+        store.add_edge(Edge("e1", "a", "b", {"K"}, {"w": 1}))
+        if not edge_last:
+            store.add_node(Node("c", {"Q"}, {"y": 3}))
+        want = (session.sequence, schema_fingerprint(session.schema()))
+        store.detach()
+        del session  # crash: no close, no checkpoint
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no record may be dropped
+            recovered = DurableSchemaSession.recover(
+                directory, config=CONFIG, schema_name="s", fsync="always"
+            )
+        got = (recovered.sequence, schema_fingerprint(recovered.schema()))
+        recovered.close()
+        assert got == want
 
 
 class TestCheckpointFallbackAndRetention:
@@ -483,9 +559,14 @@ class TestRejectedChangeSets:
         log = WriteAheadLog(directory / "wal", fsync="off")
         log.append(3, b"C" + ChangeSet.deletions(nodes=["n0-0"]).to_wire())
         log.close()
-        recovered = DurableSchemaSession.recover(
-            directory, config=CONFIG, schema_name="s", fsync="off"
-        )
+        # The drop is never silent: the warning names the record and
+        # the rejection.
+        with pytest.warns(
+            RuntimeWarning, match=r"sequence 3\).*ConfigurationError"
+        ):
+            recovered = DurableSchemaSession.recover(
+                directory, config=CONFIG, schema_name="s", fsync="off"
+            )
         assert recovered.sequence == 2
         assert recovered.wal.last_sequence == 2
         # Logging resumes cleanly where the poisoned record was dropped.
@@ -505,7 +586,7 @@ class TestRejectedChangeSets:
         session.close()
         log = WriteAheadLog(directory / "wal", fsync="off")
         log.append(2, b"C" + ChangeSet.deletions(nodes=["n0-0"]).to_wire())
-        log.append(3, b"C" + feed[1].to_wire())
+        log.append(3, b"C" + as_columnar(feed[1]).to_wire())
         log.close()
         with pytest.raises(ConfigurationError, match="retain_union"):
             DurableSchemaSession.recover(

@@ -5,10 +5,11 @@ import pytest
 from repro.core.config import PGHiveConfig
 from repro.core.pipeline import PGHive
 from repro.core.session import DiffEvent, SchemaSession
+from repro.core.sharding import ShardedSchemaSession
 from repro.errors import ConfigurationError, DanglingEdgeError
 from repro.graph.batching import split_into_batches
 from repro.graph.changes import ChangeSet
-from repro.graph.model import Edge, Node, PropertyGraph
+from repro.graph.model import Edge, Node
 from repro.graph.store import GraphStore
 from repro.schema.model import schema_fingerprint
 
@@ -226,6 +227,58 @@ class TestEndpointResolution:
         assert "e8" in likes.instance_ids
 
 
+class TestSignatureRefcounts:
+    """Resolved endpoints are stub rows: clustered, never re-counted."""
+
+    @staticmethod
+    def by_label(signatures):
+        interner = signatures.interner
+        counts: dict[str, int] = {}
+        for signature_id, count in signatures.refcounts.items():
+            signature = interner.element_signature(signature_id)
+            (label,) = interner.labelset(signature.labelset_id).labels
+            counts[label] = counts.get(label, 0) + count
+        return counts
+
+    @staticmethod
+    def live_instances(schema, edges=True):
+        types = list(schema.node_types())
+        if edges:
+            types += list(schema.edge_types())
+        return {
+            label: schema_type.instance_count
+            for schema_type in types
+            for label in schema_type.labels
+        }
+
+    def test_edge_only_inserts_match_live_instances(self):
+        config = PGHiveConfig(seed=0, retain_union=True)
+        feed = [
+            ChangeSet.inserts(
+                [Node("a", {"P"}, {"x": 1}), Node("b", {"P"}, {"x": 2})]
+            ),
+            ChangeSet.inserts(edges=[Edge("e1", "a", "b", {"K"})]),
+            ChangeSet.inserts(edges=[Edge("e2", "a", "b", {"K"})]),
+            ChangeSet.deletions(nodes=["a"]),  # cascades e1 and e2
+        ]
+        single = SchemaSession(config)
+        with ShardedSchemaSession(config, n_shards=2) as sharded:
+            for change_set in feed:
+                single.apply(change_set)
+                sharded.apply(change_set)
+                counts = self.by_label(single.discovery_state.signatures)
+                schema = single.schema_graph
+                assert counts == self.live_instances(schema)
+                # The coordinator counts registered nodes only.
+                nodes = self.live_instances(schema, edges=False)
+                assert {
+                    label: count
+                    for label, count in counts.items()
+                    if label in nodes
+                } == self.by_label(sharded._signatures)
+        assert counts == {"P": 1}
+
+
 class TestStoreAttachment:
     def test_mutations_flow_live(self, figure1_graph):
         store = GraphStore()
@@ -342,15 +395,6 @@ class TestStoreAttachment:
 
 
 class TestAdapterDelegation:
-    def test_incremental_engine_is_session_backed(self, figure1_graph):
-        from repro.core.incremental import IncrementalSchemaDiscovery
-
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
-        assert isinstance(engine.session, SchemaSession)
-        for batch in split_into_batches(figure1_graph, 2, seed=1):
-            engine.add_batch(batch)
-        assert engine.schema is engine.session.schema_graph
-
     def test_maintained_schema_is_session_backed(self, figure1_graph):
         from repro.core.maintenance import MaintainedSchema
 

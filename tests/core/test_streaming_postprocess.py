@@ -22,8 +22,8 @@ from repro.core.accumulators import (
     TypeSummaries,
 )
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalSchemaDiscovery
 from repro.core.pipeline import PGHive
+from repro.core.session import SchemaSession
 from repro.errors import ConfigurationError, SchemaError
 from repro.graph.batching import split_into_batches
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -180,21 +180,21 @@ class TestTypeSummariesMerge:
 # ----------------------------------------------------------------------
 class TestUnionRetention:
     def test_no_union_graph_by_default(self, figure1_graph):
-        engine = IncrementalSchemaDiscovery(PGHiveConfig(seed=0))
+        session = SchemaSession(PGHiveConfig(seed=0))
         for batch in split_into_batches(figure1_graph, 2, seed=1):
-            engine.add_batch(batch)
-        assert engine._union is None
+            session.add_batch(batch)
+        assert not session.retains_union
         with pytest.raises(ConfigurationError):
-            engine.union_graph
+            session.union_graph
 
     def test_retain_union_keeps_all_batches(self, figure1_graph):
-        engine = IncrementalSchemaDiscovery(
+        session = SchemaSession(
             PGHiveConfig(seed=0, retain_union=True)
         )
         for batch in split_into_batches(figure1_graph, 2, seed=1):
-            engine.add_batch(batch)
-        assert engine.union_graph.node_count == figure1_graph.node_count
-        assert engine.union_graph.edge_count == figure1_graph.edge_count
+            session.add_batch(batch)
+        assert session.union_graph.node_count == figure1_graph.node_count
+        assert session.union_graph.edge_count == figure1_graph.edge_count
 
     def test_full_scan_mode_requires_union(self):
         with pytest.raises(ConfigurationError):
@@ -234,17 +234,17 @@ class TestUnionRetention:
             compute_cardinalities_streaming(schema)
 
     def test_no_summaries_when_post_processing_disabled(self, figure1_graph):
-        # config.post_processing=False times clustering alone; the engine
+        # config.post_processing=False times clustering alone; the session
         # must not pay for accumulators nobody will ever read.
-        engine = IncrementalSchemaDiscovery(
+        session = SchemaSession(
             PGHiveConfig(seed=0, post_processing=False)
         )
         for batch in split_into_batches(figure1_graph, 2, seed=1):
-            engine.add_batch(batch)
-        engine.finalize()
+            session.add_batch(batch)
+        session.finalize()
         assert all(
             t.summaries is None
-            for t in (*engine.schema.node_types(), *engine.schema.edge_types())
+            for t in (*session.schema_graph.node_types(), *session.schema_graph.edge_types())
         )
 
     def test_pair_overflow_warns_instead_of_silent_divergence(self):
@@ -283,15 +283,15 @@ class TestUnionRetention:
             t.summaries is None
             for t in (*static.schema.node_types(), *static.schema.edge_types())
         )
-        engine = IncrementalSchemaDiscovery(
+        session = SchemaSession(
             PGHiveConfig(seed=0, retain_union=True, streaming_postprocess=False)
         )
         for batch in split_into_batches(figure1_graph, 2, seed=1):
-            engine.add_batch(batch)
-        engine.finalize()
+            session.add_batch(batch)
+        session.finalize()
         assert all(
             t.summaries is None
-            for t in (*engine.schema.node_types(), *engine.schema.edge_types())
+            for t in (*session.schema_graph.node_types(), *session.schema_graph.edge_types())
         )
 
 
@@ -317,11 +317,11 @@ def _snapshot(schema):
 
 def _run_stream(batches, seed, **overrides):
     config = PGHiveConfig(seed=seed, infer_keys=True, **overrides)
-    engine = IncrementalSchemaDiscovery(config)
+    session = SchemaSession(config)
     for batch in batches:
-        engine.add_batch(batch)
-    engine.finalize()
-    return engine.schema
+        session.add_batch(batch)
+    session.finalize()
+    return session.schema_graph
 
 
 def _assert_equivalent(batches, seed):
@@ -418,7 +418,7 @@ class TestStreamingEquivalence:
             _assert_equivalent(batches, seed=0)
 
     def test_single_batch_matches_static_full_scan(self, figure1_graph):
-        # Degenerate stream of one batch: the streaming engine must agree
+        # Degenerate stream of one batch: the streaming session must agree
         # with static discovery's full scan over the very same graph.
         config = PGHiveConfig(seed=0, infer_keys=True)
         static = PGHive(config).discover(figure1_graph)

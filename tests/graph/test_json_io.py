@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import SerializationError
+from repro.graph.columnar import Interner
 from repro.graph.json_io import (
     edge_to_record,
     graph_from_elements,
@@ -104,6 +105,52 @@ class TestMalformedRecords:
         path = self.write(tmp_path, json.dumps(record))
         with pytest.raises(SerializationError, match=r"g\.jsonl:3: malformed"):
             parse(path)
+
+
+class TestUnknownRecordKind:
+    """An unknown ``kind`` names its line in both readers."""
+
+    GOOD = json.dumps(node_to_record(Node("a", {"T"}, {"k": 1})))
+    BAD = json.dumps(
+        {
+            "kind": "hyperedge",
+            "id": "h",
+            "labels": ["Hyper"],
+            "properties": {"arity": 3},
+        }
+    )
+
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "g.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        return path
+
+    def test_element_reader(self, tmp_path):
+        path = self.write(tmp_path, self.GOOD, self.BAD)
+        with pytest.raises(
+            SerializationError,
+            match=r"g\.jsonl:2: unknown record kind: 'hyperedge'",
+        ):
+            read_graph_jsonl(path)
+
+    def test_columnar_reader_interns_nothing_of_the_bad_record(self, tmp_path):
+        interner = Interner()
+        path = self.write(tmp_path, self.GOOD, self.BAD)
+        with pytest.raises(
+            SerializationError,
+            match=r"g\.jsonl:2: unknown record kind: 'hyperedge'",
+        ):
+            list(iter_columnar_changesets_jsonl(path, interner=interner))
+        good_only = Interner()
+        list(
+            iter_columnar_changesets_jsonl(
+                self.write(tmp_path, self.GOOD), interner=good_only
+            )
+        )
+        assert (interner.labelset_count, interner.keyset_count) == (
+            good_only.labelset_count,
+            good_only.keyset_count,
+        )
 
 
 class TestGraphFromElements:

@@ -63,12 +63,27 @@ def columnar_insert(round_, width=4):
     return ChangeSet.inserts_columnar(builder.freeze())
 
 
+def linking_insert(round_):
+    """Element insert whose edges reach nodes of earlier change-sets.
+
+    The session resolves those endpoints (union, store or registry) into
+    stub rows before logging, so replay must need no lookup.
+    """
+    node = Node(f"n{round_}-0", {"Person"}, {"name": "z", "age": 9})
+    edges = [
+        Edge(f"e{round_}-0", node.node_id, "n0-0", {"REL"}, {"w": 0}),
+        Edge(f"e{round_}-1", "c1-0", "n2-1", {"REL"}, {"w": 1}),
+    ]
+    return ChangeSet.inserts([node], edges)
+
+
 def mixed_feed():
     """Element inserts, columnar inserts, and deletions interleaved."""
     return [
         element_insert(0),
         columnar_insert(1),
         element_insert(2),
+        linking_insert(3),
         ChangeSet.deletions(nodes=["n0-1"], edges=["e2-0"]),
         columnar_insert(4),
         element_insert(5),
