@@ -300,8 +300,10 @@ class SchemaSession:
         inserts convert once, here, through
         :func:`~repro.graph.columnar.columnar_changeset`: an edge endpoint
         the change-set does not carry becomes a stub row resolved against
-        the retained union graph, then an attached store.  A columnar
-        payload, even an empty one, is one pipeline step.
+        the retained union graph, then an attached store.  An empty
+        insert advances the sequence (and is logged by durable sessions)
+        but runs no pipeline step, as the sharded session skips it: the
+        preprocessor must not fit on zero rows.
         """
         if change_set.has_deletions and self._union is None:
             raise ConfigurationError(
@@ -310,6 +312,8 @@ class SchemaSession:
             )
         change_set = self._as_columnar(change_set)
         columnar = change_set.columnar
+        if columnar is not None and not len(columnar):
+            columnar = None
         inserted = (0, 0)
         stubs: frozenset[str] = frozenset()
         if columnar is not None:
@@ -327,13 +331,7 @@ class SchemaSession:
         )
 
     def add_batch(self, batch: PropertyGraph) -> ChangeReport:
-        """Sugar: apply one insert-only property-graph batch.
-
-        The batch converts to one columnar change-set, so an *empty*
-        batch still runs the pipeline step (fitting the preprocessor on
-        the first batch, empty or not, exactly as the historical engine
-        did), unlike :meth:`apply` on an insert-free change-set.
-        """
+        """Sugar: apply one insert-only property-graph batch."""
         return self.apply(
             ChangeSet.inserts_columnar(
                 ElementBatch.from_graph(batch, self._dstate.interner)

@@ -20,14 +20,25 @@ Clusters produced by LSH are folded into the running schema graph:
 
 All merging is monotone (Lemmas 1 and 2): labels, property keys, endpoints
 and member instances only accumulate.
+
+The Jaccard rule is answered by :class:`_KeyIndex`, an exact
+set-similarity index (the size and prefix filters of All-Pairs and
+PPJoin) built per call and only when the call has unlabeled clusters.
+It picks the same type a scan of every type in schema order would pick;
+``tests/seed_reference.py`` keeps that scan as the oracle.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Callable, Iterable
+from functools import partial
+from itertools import islice
+from math import ceil
+
 from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions
 from repro.core.clustering import ColumnarCluster
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
-from repro.util import jaccard
 
 
 def _new_node_type(
@@ -112,18 +123,24 @@ def extract_node_types(
                 schema, cluster, summary_options, exclude_record
             )
 
+    if not unlabeled:
+        return schema
+    # Labelled types first, abstract types second; both passes filter one
+    # scored candidate list.  Unlabeled clusters add no labels, so a
+    # type's pass cannot change inside this loop.
+    index = _KeyIndex(schema.node_types())
     for cluster in unlabeled:
-        target = _best_jaccard_match(
-            (t for t in schema.node_types() if t.labels), cluster, theta
-        )
-        if target is None:
-            target = _best_jaccard_match(
-                (t for t in schema.node_types() if not t.labels), cluster, theta
+        matches = index.matches(cluster.property_keys, theta)
+        position = index.best(matches, theta, _has_labels)
+        if position is None:
+            position = index.best(matches, theta, _has_no_labels)
+        if position is not None:
+            _absorb_node_cluster(
+                index.types[position], cluster, summary_options, exclude_record
             )
-        if target is not None:
-            _absorb_node_cluster(target, cluster, summary_options, exclude_record)
+            index.refresh(position)
         else:
-            _new_node_type(schema, cluster, summary_options, exclude_record)
+            index.add(_new_node_type(schema, cluster, summary_options, exclude_record))
     return schema
 
 
@@ -160,12 +177,20 @@ def extract_edge_types(
                 _new_edge_type(schema, cluster, summary_options)
             )
 
+    if not unlabeled:
+        return schema
+    index = _KeyIndex(schema.edge_types())
     for cluster in unlabeled:
-        target = _best_edge_match(schema, cluster, theta)
-        if target is not None:
-            _absorb_edge_cluster(target, cluster, summary_options)
+        position = index.best(
+            index.matches(cluster.property_keys, theta),
+            theta,
+            partial(_endpoints_compatible, cluster=cluster),
+        )
+        if position is not None:
+            _absorb_edge_cluster(index.types[position], cluster, summary_options)
+            index.refresh(position)
         else:
-            _new_edge_type(schema, cluster, summary_options)
+            index.add(_new_edge_type(schema, cluster, summary_options))
     return schema
 
 
@@ -190,26 +215,148 @@ def extract_types(
     return schema
 
 
-def _best_jaccard_match(candidates, cluster: ColumnarCluster, theta: float):
-    best, best_score = None, -1.0
-    cluster_keys = frozenset(cluster.property_keys)
-    for candidate in candidates:
-        score = jaccard(candidate.property_keys, cluster_keys)
-        if score >= theta and score > best_score:
-            best, best_score = candidate, score
-    return best
+#: Filters compare against ``theta - _SLACK`` so that float rounding in
+#: ``theta * n`` or ``n / theta`` never prunes a type the final
+#: ``score >= theta`` comparison accepts: at ``theta = 15 / 29``,
+#: ``theta * 29`` rounds above 15.
+_SLACK = 1e-9
+
+_NO_POSTINGS: list[int] = []
 
 
-def _best_edge_match(schema: SchemaGraph, cluster: ColumnarCluster, theta: float):
-    best, best_score = None, -1.0
-    cluster_keys = frozenset(cluster.property_keys)
-    for candidate in schema.edge_types():
-        if not _endpoints_compatible(candidate, cluster):
-            continue
-        score = jaccard(candidate.property_keys, cluster_keys)
-        if score >= theta and score > best_score:
-            best, best_score = candidate, score
-    return best
+class _KeyIndex:
+    """Exact candidate index for the Jaccard rule of Algorithm 2.
+
+    Holds the types of one kind in schema order (``types[position]``),
+    one posting list of ascending positions per property key, and the
+    positions of types without keys.  Built per extraction call and
+    updated in place as clusters are absorbed or found new types; it is
+    never persisted.  :meth:`matches` returns exactly the types sharing a
+    key with the cluster (key-less types, for a key-less cluster) that a
+    scan of every type would score at ``theta`` or above, with the same
+    scores; :meth:`best` covers the zero scores that reach ``theta <= 0``.
+    The filters are exact:
+
+    * **prefix filter** -- a type with ``J >= theta`` against ``n``
+      cluster keys shares at least ``r = ceil(theta * n)`` of them, so it
+      posts under at least one of *any* ``n - r + 1`` cluster keys
+      (pigeonhole); the shortest posting lists are taken.  Every key of
+      every type is posted, so no global token order is needed;
+    * **size filter** -- ``theta * n <= |y| <= n / theta``;
+    * **scoring** -- ``o / (n + m - o)``, the two integers
+      :func:`repro.util.jaccard` divides, so scores are bit-identical.
+    """
+
+    __slots__ = ("types", "postings", "keyless", "_posted")
+
+    def __init__(self, types: Iterable) -> None:
+        self.types: list = []
+        self.postings: dict[str, list[int]] = {}
+        #: positions of key-less types (dict as an ordered set)
+        self.keyless: dict[int, None] = {}
+        #: per position, how many of the type's keys are posted
+        self._posted: list[int] = []
+        for schema_type in types:
+            self.add(schema_type)
+
+    def add(self, schema_type) -> int:
+        """Index a type at the next position (schema order)."""
+        position = len(self.types)
+        self.types.append(schema_type)
+        self._posted.append(0)
+        self.keyless[position] = None
+        self.refresh(position)
+        return position
+
+    def refresh(self, position: int) -> None:
+        """Post the keys ``types[position]`` gained since it was indexed.
+
+        Keys are read from the type, not from the absorbed cluster: a
+        cluster whose members are all excluded or replayed records none.
+        Key sets only grow and dicts keep insertion order, so the gained
+        keys are the suffix past the posted count.
+        """
+        properties = self.types[position].properties
+        posted = self._posted[position]
+        if len(properties) == posted:
+            return
+        self.keyless.pop(position, None)
+        postings = self.postings
+        for key in islice(properties, posted, None):
+            insort(postings.setdefault(key, []), position)
+        self._posted[position] = len(properties)
+
+    def candidates(self, keys: set[str], theta: float) -> list[int]:
+        """Ascending positions that pass the prefix and size filters."""
+        n = len(keys)
+        if not n:
+            return list(self.keyless)
+        slack = theta - _SLACK
+        # A positive score needs one shared key, so r >= 1 even when the
+        # slack threshold is not positive (theta <= 1e-9).
+        required = max(1, ceil(slack * n))
+        postings = self.postings
+        prefix = sorted(
+            (postings.get(key, _NO_POSTINGS) for key in keys), key=len
+        )[: max(0, n - required + 1)]
+        found = set().union(*prefix)
+        if slack > 0.0:
+            low, high = slack * n, n / slack
+            types = self.types
+            found = {
+                position
+                for position in found
+                if low <= len(types[position].properties) <= high
+            }
+        return sorted(found)
+
+    def matches(self, keys: set[str], theta: float) -> list[tuple[float, int]]:
+        """``(score, position)`` of every type scoring ``>= theta`` with a
+        positive overlap (or both key sets empty), ascending position."""
+        n = len(keys)
+        types = self.types
+        scored = []
+        for position in self.candidates(keys, theta):
+            properties = types[position].properties
+            overlap = len(keys.intersection(properties))
+            union = n + len(properties) - overlap
+            score = overlap / union if union else 1.0
+            if score >= theta:
+                scored.append((score, position))
+        return scored
+
+    def best(
+        self,
+        matches: list[tuple[float, int]],
+        theta: float,
+        accept: Callable[[object], bool],
+    ) -> int | None:
+        """Position of the first accepted type with the strictly highest
+        score, as a scan in schema order picks it.
+
+        At ``theta <= 0`` a type sharing no key also reaches ``theta``
+        (at score 0); when no accepted match scored higher, the first
+        accepted type in schema order wins.
+        """
+        types = self.types
+        best, best_score = None, -1.0
+        for score, position in matches:
+            if score >= theta and score > best_score and accept(types[position]):
+                best, best_score = position, score
+        if best is None and theta <= 0.0:
+            best = next(
+                (p for p, schema_type in enumerate(types) if accept(schema_type)),
+                None,
+            )
+        return best
+
+
+def _has_labels(schema_type) -> bool:
+    return bool(schema_type.labels)
+
+
+def _has_no_labels(schema_type) -> bool:
+    return not schema_type.labels
 
 
 def _endpoints_compatible(edge_type: EdgeType, cluster: ColumnarCluster) -> bool:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -61,3 +64,25 @@ def build_figure1_graph() -> PropertyGraph:
 def figure1_graph() -> PropertyGraph:
     """Fresh copy of the Figure 1 example graph."""
     return build_figure1_graph()
+
+
+#: Seconds leftover children get, in total, to exit before the run fails.
+CHILD_JOIN_SECONDS = 2.0
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a test left a child process alive.
+
+    The process counterpart of CI's ``/dev/shm`` leak step: shard worker
+    pools must be shut down by the code that started them, not by the
+    interpreter's exit.
+    """
+    children = multiprocessing.active_children()
+    deadline = time.monotonic() + CHILD_JOIN_SECONDS
+    for child in children:
+        child.join(max(0.0, deadline - time.monotonic()))
+    alive = [child for child in children if child.is_alive()]
+    if alive:
+        names = ", ".join(f"{child.name} (pid {child.pid})" for child in alive)
+        print(f"\nchild processes still alive after the run: {names}")
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -20,12 +20,17 @@ def batches(figure1_graph):
 
 class TestStatePersistence:
     def test_preprocessor_fitted_once_and_reused(self, batches):
+        # This split's first batch is empty and fits nothing; the first
+        # batch with rows fits the preprocessor for the whole stream.
         session = SchemaSession(PGHiveConfig(seed=0))
+        assert batches[0].node_count == 0
         session.add_batch(batches[0])
+        assert session.state.preprocessor is None
+        session.add_batch(batches[1])
         preprocessor = session.state.preprocessor
         assert preprocessor is not None
         model = preprocessor.model
-        for batch in batches[1:]:
+        for batch in batches[2:]:
             session.add_batch(batch)
             assert session.state.preprocessor is preprocessor
             assert session.state.preprocessor.model is model
@@ -64,7 +69,10 @@ class TestStatePersistence:
         seen: list[set[str]] = []
         for batch in batches:
             session.add_batch(batch)
-            seen.append(set(session.state.preprocessor._embedding_cache))
+            # The empty first batch fits no preprocessor.
+            if session.state.preprocessor is not None:
+                seen.append(set(session.state.preprocessor._embedding_cache))
+        assert len(seen) == len(batches) - 1
         assert seen[-1]
         assert all(earlier <= later for earlier, later in zip(seen, seen[1:]))
 

@@ -174,11 +174,11 @@ class TestDurableSchemaSession:
             oracle.schema()
         )
 
-    def test_empty_first_batch_is_a_logged_pipeline_step(
+    def test_empty_first_batch_is_logged_but_runs_no_pipeline_step(
         self, figure1_graph, tmp_path
     ):
-        # add_batch logs a columnar batch even when it is empty, so the
-        # preprocessor fits on it live and again on replay.
+        # An empty batch advances the sequence and is logged, but the
+        # preprocessor does not fit on its zero rows, live or on replay.
         batches = [
             PropertyGraph("empty"),
             *split_into_batches(figure1_graph, 2, seed=4),
@@ -191,7 +191,8 @@ class TestDurableSchemaSession:
             directory, CONFIG, schema_name="s", fsync="off"
         )
         session.add_batch(batches[0])
-        assert session.state.preprocessor is not None
+        assert session.sequence == 1
+        assert session.state.preprocessor is None
         for batch in batches[1:]:
             session.add_batch(batch)
         del session

@@ -3,7 +3,7 @@ tracking, per-shard checkpoint manifests, and process-parallel mode."""
 
 import pytest
 
-from repro.core.config import PGHiveConfig
+from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.durability import write_artifact
 from repro.core.session import SchemaSession
 from repro.core.sharding import (
@@ -11,12 +11,14 @@ from repro.core.sharding import (
     MANIFEST_NAME,
     ShardedSchemaSession,
 )
+from repro.datasets.registry import load_dataset
 from repro.errors import (
     CheckpointError,
     CheckpointVersionError,
     ConfigurationError,
     DanglingEdgeError,
 )
+from repro.graph.batching import split_into_batches
 from repro.graph.changes import ChangeSet, HashPartitioner, stable_shard
 from repro.graph.columnar import ElementBatch, partition_columnar
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -224,6 +226,24 @@ class TestShardedSession:
         assert schema_fingerprint(sharded.schema()) == schema_fingerprint(
             single.schema()
         )
+
+    def test_empty_batch_runs_no_pipeline_step(self):
+        # ELSH parameters are fitted on the first batch that reaches the
+        # pipeline; an empty one must not be it, in either session.
+        config = PGHiveConfig(seed=0, method=ClusteringMethod.ELSH)
+        graph = load_dataset("LDBC", nodes=300, seed=0).graph
+        batches = split_into_batches(graph, 3, seed=0)
+        fingerprints = []
+        for session, leading in (
+            (SchemaSession(config), [PropertyGraph("empty")]),
+            (ShardedSchemaSession(config, n_shards=1), [PropertyGraph("empty")]),
+            (SchemaSession(config), []),
+        ):
+            for batch in [*leading, *batches]:
+                session.add_batch(batch)
+            assert session.sequence == len(leading) + len(batches)
+            fingerprints.append(schema_fingerprint(session.schema()))
+        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
     def test_shard_sessions_unavailable_in_parallel_mode(self):
         session = ShardedSchemaSession(n_shards=2, parallel=True)

@@ -17,7 +17,10 @@ the two layer by layer:
   :meth:`TypeSummaries.observe`;
 * **row access** -- one element's values looked up cell by cell, with a
   binary search of each key's value column (what every row-major reader
-  of a batch must see through the block's cached row view).
+  of a batch must see through the block's cached row view);
+* **matching** (section 4.3) -- Algorithm 2's Jaccard rule for unlabeled
+  clusters as a scan of every type in schema order, the oracle of the
+  indexed matcher (``tests/properties/test_jaccard_index_oracle.py``).
 
 Nothing here is optimised; it is test code, and slow on purpose.
 """
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.accumulators import SummaryOptions, ensure_summaries
+from repro.core import type_extraction
+from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions, ensure_summaries
 from repro.core.adaptive import AdaptiveParameters, adapt_parameters
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.embedding.word2vec import Word2Vec
@@ -35,7 +39,7 @@ from repro.graph.model import Edge, Node
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
 from repro.schema.model import EdgeType
-from repro.util import derive_seed
+from repro.util import derive_seed, jaccard
 
 
 def scaled_embedding(model: Word2Vec, token: str, config: PGHiveConfig) -> np.ndarray:
@@ -288,3 +292,89 @@ def to_elements(batch: ElementBatch) -> tuple[list[Node], list[Edge]]:
         for row, edge_id in enumerate(batch.edges.ids)
     ]
     return nodes, edges
+
+
+def best_jaccard_match(candidates, cluster, theta: float):
+    """The first candidate with the strictly highest Jaccard score >= theta."""
+    best, best_score = None, -1.0
+    cluster_keys = frozenset(cluster.property_keys)
+    for candidate in candidates:
+        score = jaccard(candidate.property_keys, cluster_keys)
+        if score >= theta and score > best_score:
+            best, best_score = candidate, score
+    return best
+
+
+def best_edge_match(schema, cluster, theta: float):
+    """:func:`best_jaccard_match` over endpoint-compatible edge types."""
+    return best_jaccard_match(
+        (
+            candidate
+            for candidate in schema.edge_types()
+            if type_extraction._endpoints_compatible(candidate, cluster)
+        ),
+        cluster,
+        theta,
+    )
+
+
+def linear_extract_node_types(
+    schema,
+    clusters,
+    theta: float,
+    summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
+    exclude_record: frozenset[str] = frozenset(),
+):
+    """``extract_node_types`` with each unlabeled cluster scanning every
+    type: labelled types first, then abstract ones."""
+    type_extraction.extract_node_types(
+        schema,
+        [cluster for cluster in clusters if cluster.is_labeled],
+        theta,
+        summary_options,
+        exclude_record,
+    )
+    for cluster in clusters:
+        if cluster.is_labeled:
+            continue
+        target = best_jaccard_match(
+            (t for t in schema.node_types() if t.labels), cluster, theta
+        )
+        if target is None:
+            target = best_jaccard_match(
+                (t for t in schema.node_types() if not t.labels), cluster, theta
+            )
+        if target is not None:
+            type_extraction._absorb_node_cluster(
+                target, cluster, summary_options, exclude_record
+            )
+        else:
+            type_extraction._new_node_type(
+                schema, cluster, summary_options, exclude_record
+            )
+    return schema
+
+
+def linear_extract_edge_types(
+    schema,
+    clusters,
+    theta: float,
+    summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
+):
+    """``extract_edge_types`` with each unlabeled cluster scanning every
+    endpoint-compatible type."""
+    type_extraction.extract_edge_types(
+        schema,
+        [cluster for cluster in clusters if cluster.is_labeled],
+        theta,
+        summary_options,
+    )
+    for cluster in clusters:
+        if cluster.is_labeled:
+            continue
+        target = best_edge_match(schema, cluster, theta)
+        if target is not None:
+            type_extraction._absorb_edge_cluster(target, cluster, summary_options)
+        else:
+            type_extraction._new_edge_type(schema, cluster, summary_options)
+    return schema
