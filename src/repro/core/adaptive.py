@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,28 +70,57 @@ def alpha_for_label_count(label_count: int) -> float:
     return 1.5
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(count, k=1)``, read-only, cached per ``count``."""
+    left, right = np.triu_indices(count, k=1)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
+def pair_distance_matrix(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every two rows of ``vectors``, ``(k, k)``.
+
+    The all-pairs branch of :func:`estimate_distance_scale` hands it
+    one row per distinct vector, never one per element.
+    """
+    deltas = vectors[:, None, :] - vectors[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas))
+
+
 def estimate_distance_scale(
-    vectors: np.ndarray, rng: np.random.Generator
+    vectors: np.ndarray,
+    rng: np.random.Generator,
+    inverse: np.ndarray | None = None,
 ) -> float:
-    """Average pairwise Euclidean distance over a sampled subset."""
-    count = len(vectors)
+    """Average pairwise Euclidean distance over a sampled subset.
+
+    With ``inverse``, ``vectors`` holds distinct rows and element ``i``
+    is ``vectors[inverse[i]]``.  Distances are then computed once per
+    pair of distinct rows and gathered per element pair, in element-pair
+    order, so the mean is bit-identical to passing ``vectors[inverse]``.
+    """
+    if inverse is None:
+        inverse = np.arange(len(vectors))
+    count = len(inverse)
     if count < 2:
         return 0.0
     sample_size = max(int(count * SAMPLE_FRACTION), SAMPLE_FLOOR)
     sample_size = min(sample_size, count)
-    indices = (
-        np.arange(count)
+    rows = (
+        inverse
         if sample_size == count
-        else rng.choice(count, size=sample_size, replace=False)
+        else inverse[rng.choice(count, size=sample_size, replace=False)]
     )
-    sample = vectors[indices]
 
     if sample_size <= 200:
         # Small samples: take every pair exactly.
-        deltas = sample[:, None, :] - sample[None, :, :]
-        squared = np.einsum("ijk,ijk->ij", deltas, deltas)
-        upper = squared[np.triu_indices(sample_size, k=1)]
-        return float(np.sqrt(upper).mean()) if upper.size else 0.0
+        present, local = np.unique(rows, return_inverse=True)
+        distances = pair_distance_matrix(vectors[present])
+        left, right = _upper_pairs(sample_size)
+        upper = distances.take(local.take(left) * len(present) + local.take(right))
+        return float(upper.mean()) if upper.size else 0.0
 
     pair_budget = min(MAX_DISTANCE_PAIRS, sample_size * (sample_size - 1) // 2)
     left = rng.integers(0, sample_size, pair_budget)
@@ -98,9 +128,14 @@ def estimate_distance_scale(
     distinct = left != right
     if not np.any(distinct):
         return 0.0
-    deltas = sample[left[distinct]] - sample[right[distinct]]
+    # One delta per distinct pair of distinct rows, gathered back.
+    width = len(vectors)
+    pairs, gather = np.unique(
+        rows[left[distinct]] * width + rows[right[distinct]], return_inverse=True
+    )
+    deltas = vectors[pairs // width] - vectors[pairs % width]
     distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    return float(distances.mean())
+    return float(distances[gather].mean())
 
 
 def _table_count(
@@ -121,19 +156,36 @@ def adapt_parameters(
     kind: str,
     overrides: AdaptiveOverrides | None = None,
     seed: int = 0,
+    inverse: np.ndarray | None = None,
 ) -> AdaptiveParameters:
     """Resolve LSH parameters for ``vectors`` per the section 4.2 heuristics.
 
     ``kind`` selects the node or edge T formula (``"nodes"`` / ``"edges"``).
-    Overridden fields short-circuit the corresponding heuristic.
+    Overridden fields short-circuit the corresponding heuristic.  With
+    ``inverse``, ``vectors`` holds distinct rows and the elements are
+    ``vectors[inverse]`` (see :func:`estimate_distance_scale`).
     """
     if kind not in ("nodes", "edges"):
         raise ValueError(f"kind must be 'nodes' or 'edges', got {kind!r}")
-    overrides = overrides or AdaptiveOverrides()
-    rng = np.random.default_rng(seed)
-    element_count = len(vectors)
+    mu = estimate_distance_scale(vectors, np.random.default_rng(seed), inverse)
+    return parameters_for_scale(
+        mu,
+        label_count=label_count,
+        element_count=len(vectors) if inverse is None else len(inverse),
+        kind=kind,
+        overrides=overrides,
+    )
 
-    mu = estimate_distance_scale(vectors, rng)
+
+def parameters_for_scale(
+    mu: float,
+    label_count: int,
+    element_count: int,
+    kind: str,
+    overrides: AdaptiveOverrides | None = None,
+) -> AdaptiveParameters:
+    """The section 4.2 heuristics for a known distance scale ``mu``."""
+    overrides = overrides or AdaptiveOverrides()
     b_base = max(1.2 * mu, MIN_BUCKET_LENGTH)
     alpha = (
         overrides.alpha

@@ -17,7 +17,7 @@ from repro.core.adaptive import AdaptiveParameters, adapt_parameters
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.preprocess import ColumnarFeatures
 from repro.graph.columnar import ColumnarElements, Interner
-from repro.lsh.base import GroupingRule, group
+from repro.lsh.base import group
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
 from repro.util import derive_seed
@@ -53,6 +53,7 @@ class ColumnarCluster:
         interner: Interner,
         member_rows: list[int],
         repeat_signature: int | None = None,
+        pattern_rows: list[int] | None = None,
     ) -> None:
         self.block = block
         self.interner = interner
@@ -79,14 +80,19 @@ class ColumnarCluster:
                 self.source_tokens = set()
                 self.target_tokens = set()
             return
+        # ``pattern_rows`` is the first row of each distinct structural
+        # pattern among the members, ascending: every id below first
+        # occurs on one of them, in the same order, so the unions (and
+        # their set insertion order) equal the per-member ones.
+        rows = member_rows if pattern_rows is None else pattern_rows
         labelset_list = block.labelset_list
         labels: set[str] = set()
-        for lid in {labelset_list[row] for row in member_rows}:
+        for lid in {labelset_list[row] for row in rows}:
             labels |= interner.labelset(lid).labels
         self.labels = labels
         keyset_list = block.keyset_list
         property_keys: set[str] = set()
-        for kid in {keyset_list[row] for row in member_rows}:
+        for kid in {keyset_list[row] for row in rows}:
             property_keys.update(interner.keyset(kid).keys)
         self.property_keys = property_keys
         if block.is_edges:
@@ -94,11 +100,11 @@ class ColumnarCluster:
             tgt_list = block.tgt_token_list
             self.source_tokens = {
                 interner.string(sid)
-                for sid in {src_list[row] for row in member_rows}
+                for sid in {src_list[row] for row in rows}
             }
             self.target_tokens = {
                 interner.string(sid)
-                for sid in {tgt_list[row] for row in member_rows}
+                for sid in {tgt_list[row] for row in rows}
             }
         else:
             self.source_tokens = set()
@@ -236,14 +242,18 @@ class ClusteringOutcome:
 
 
 def _groups_by_first_occurrence(
-    group_of_element: np.ndarray, group_count: int
+    group_of_element: np.ndarray,
+    group_count: int,
+    elements: np.ndarray | None = None,
 ) -> list[list[int]]:
     """Member-row groups ordered like ``lsh.base.group_by_signature``.
 
     ``group_of_element`` assigns each element a dense group id; the
     result lists groups by first-member occurrence with members
     ascending -- the exact order AND grouping over per-element
-    signatures produces, fully vectorised.
+    signatures produces (and OR grouping, whose components are sorted
+    by smallest member), fully vectorised.  Members are element
+    positions, or ``elements[position]`` when ``elements`` is given.
     """
     count = len(group_of_element)
     first_member = np.full(group_count, count, dtype=np.intp)
@@ -254,8 +264,73 @@ def _groups_by_first_occurrence(
     )
     dense = renumber[group_of_element]
     order = np.argsort(dense, kind="stable")
-    boundaries = np.cumsum(np.bincount(dense, minlength=group_count))[:-1]
-    return [rows.tolist() for rows in np.split(order, boundaries)]
+    if elements is not None:
+        order = elements[order]
+    members = order.tolist()
+    ends = np.cumsum(np.bincount(dense, minlength=group_count)).tolist()
+    return [members[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _pattern_inverse(
+    block: ColumnarElements,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct structural patterns of ``block`` and the row -> pattern map.
+
+    A pattern is the interned (label-token[, source-token, target-token],
+    key-set, label-set) id row; elements with equal patterns have equal
+    representation vectors and equal MinHash token sets.  Returns the
+    distinct id rows (sorted), the first row carrying each, and the
+    per-row pattern index.  The label-set column comes last: it only
+    tells apart label sets whose tokens collide (``{"A+B"}`` and
+    ``{"A", "B"}``), so the pattern order is the token order otherwise.
+    """
+    if block.is_edges:
+        columns = (
+            block.token_sids,
+            block.src_token_sids,
+            block.tgt_token_sids,
+            block.keyset_ids,
+            block.labelset_ids,
+        )
+    else:
+        columns = (block.token_sids, block.keyset_ids, block.labelset_ids)
+    distinct, first_rows, inverse = np.unique(
+        np.stack(columns, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return distinct, first_rows, np.asarray(inverse, dtype=np.intp).reshape(-1)
+
+
+def _clusters_from_pattern_groups(
+    block: ColumnarElements,
+    interner: Interner,
+    pattern_groups: list[list[int]],
+    first_rows: np.ndarray,
+    inverse: np.ndarray,
+) -> list[ColumnarCluster]:
+    """Expand groups of patterns into clusters of rows.
+
+    Clusters come in first-member order with members ascending, as
+    grouping the rows themselves orders them.  A group's first member is
+    the first row of one of its patterns, so the ascending first rows
+    split into the same groups in the same order; they are the rows the
+    representative unions read.
+    """
+    group_of_pattern = np.empty(len(first_rows), dtype=np.intp)
+    group_of_pattern[np.concatenate(pattern_groups)] = np.repeat(
+        np.arange(len(pattern_groups), dtype=np.intp),
+        [len(patterns) for patterns in pattern_groups],
+    )
+    member_groups = _groups_by_first_occurrence(
+        group_of_pattern[inverse], len(pattern_groups)
+    )
+    firsts = np.sort(first_rows)
+    pattern_row_groups = _groups_by_first_occurrence(
+        group_of_pattern[inverse[firsts]], len(pattern_groups), firsts
+    )
+    return [
+        ColumnarCluster(block, interner, rows, pattern_rows=pattern_rows)
+        for rows, pattern_rows in zip(member_groups, pattern_row_groups)
+    ]
 
 
 def cluster_features_columnar(
@@ -276,28 +351,32 @@ def cluster_features_columnar(
     (always the case under manual ``num_tables`` overrides; otherwise only
     when the adaptive formula lands on the same value).
 
-    On the MinHash path signatures are computed once per *distinct*
-    interned (label-token, key-set[, endpoint-token]) pattern -- handed
-    to the kernel as pre-interned id arrays -- and the grouping runs
-    over patterns, then expands to elements through the pattern-inverse
-    column; elements with equal patterns sign equally, so the expanded
-    partition equals the per-element one.
+    Both families work on distinct structural patterns
+    (:func:`_pattern_inverse`): mu is estimated over the distinct
+    vectors, ELSH hashes each distinct vector once, MinHash signs each
+    distinct pattern once (handed to the kernel as pre-interned id
+    arrays), and the grouping runs over patterns, then expands to
+    elements through the pattern inverse.  Elements with equal patterns
+    hash equally, so the expanded partition equals the per-element one.
     """
     if len(features) == 0:
         return ClusteringOutcome([], None)
     block = features.block
     interner = features.interner
+    distinct, first_rows, inverse = _pattern_inverse(block)
+    vectors = features.vectors[first_rows]
 
     labels: set[str] = set()
-    for lid in np.unique(block.labelset_ids).tolist():
+    for lid in np.unique(distinct[:, -1]).tolist():
         labels |= interner.labelset(int(lid)).labels
     overrides = config.node_lsh if kind == "nodes" else config.edge_lsh
     parameters = adapt_parameters(
-        features.vectors,
+        vectors,
         label_count=len(labels),
         kind=kind,
         overrides=overrides,
         seed=derive_seed(config.seed, "adaptive", kind),
+        inverse=inverse,
     )
 
     if config.method is ClusteringMethod.ELSH:
@@ -307,10 +386,7 @@ def cluster_features_columnar(
             hashes_per_table=config.hashes_per_table,
             seed=derive_seed(config.seed, "elsh", kind),
         )
-        member_groups = [
-            list(rows)
-            for rows in lsh.cluster(features.vectors, rule=config.grouping_rule)
-        ]
+        pattern_groups = lsh.cluster(vectors, rule=config.grouping_rule)
     else:
         seed = derive_seed(config.seed, "minhash", kind)
         cache_key = (parameters.num_tables, config.minhash_band_size, seed)
@@ -324,57 +400,21 @@ def cluster_features_columnar(
             if minhash_cache is not None:
                 minhash_cache[cache_key] = lsh
         if block.is_edges:
-            id_matrix = np.stack(
-                [
-                    block.token_sids,
-                    block.src_token_sids,
-                    block.tgt_token_sids,
-                    block.keyset_ids,
-                ],
-                axis=1,
-            )
-        else:
-            id_matrix = np.stack([block.token_sids, block.keyset_ids], axis=1)
-        distinct, inverse = np.unique(id_matrix, axis=0, return_inverse=True)
-        if block.is_edges:
             patterns = [
-                interner.edge_pattern(int(t), int(s), int(g), int(k))
-                for t, s, g, k in distinct.tolist()
+                interner.edge_pattern(t, s, g, k)
+                for t, s, g, k, _ in distinct.tolist()
             ]
         else:
             patterns = [
-                interner.node_pattern(int(t), int(k))
-                for t, k in distinct.tolist()
+                interner.node_pattern(t, k) for t, k, _ in distinct.tolist()
             ]
         banded = lsh.signatures(
             [pattern.tokens for pattern in patterns],
             token_ids=[pattern.minhash_ids for pattern in patterns],
         )
-        inverse = np.asarray(inverse, dtype=np.intp).reshape(-1)
-        if config.grouping_rule is GroupingRule.AND:
-            data = np.ascontiguousarray(banded)
-            raw = data.tobytes()
-            stride = data.shape[1] * data.itemsize
-            buckets: dict[bytes, int] = {}
-            setdefault = buckets.setdefault
-            group_of_pattern = np.fromiter(
-                (
-                    setdefault(raw[i * stride : (i + 1) * stride], len(buckets))
-                    for i in range(len(patterns))
-                ),
-                dtype=np.intp,
-                count=len(patterns),
-            )
-            member_groups = _groups_by_first_occurrence(
-                group_of_pattern[inverse], len(buckets)
-            )
-        else:
-            member_groups = [
-                list(rows)
-                for rows in group(banded[inverse], config.grouping_rule)
-            ]
+        pattern_groups = group(banded, config.grouping_rule)
 
-    clusters = [
-        ColumnarCluster(block, interner, rows) for rows in member_groups
-    ]
+    clusters = _clusters_from_pattern_groups(
+        block, interner, pattern_groups, first_rows, inverse
+    )
     return ClusteringOutcome(clusters, parameters)

@@ -28,7 +28,7 @@ from repro.core.constraints import infer_property_constraints
 from repro.core.datatype_inference import infer_datatypes, infer_datatypes_streaming
 from repro.core.preprocess import Preprocessor
 from repro.core.serialization import to_pg_schema, to_xsd
-from repro.core.type_extraction import extract_types
+from repro.core.type_extraction import KeyIndexCache, extract_types
 from repro.graph.columnar import (
     ColumnarElements,
     ElementBatch,
@@ -191,6 +191,7 @@ class PGHive:
         summary_options: SummaryOptions | None = None,
         exclude_record: frozenset[str] = frozenset(),
         signatures: SignatureStore | None = None,
+        key_indexes: KeyIndexCache | None = None,
     ) -> None:
         """Steps (b)-(d) for one batch, merging into ``schema`` in place.
 
@@ -233,6 +234,10 @@ class PGHive:
         known divergence).  Refcounts are maintained whenever a store is
         supplied (even when the split is gated off) so deletions can
         decrement symmetrically.
+
+        ``key_indexes`` is the caller's Algorithm 2 index cache for
+        ``schema`` (the session's); without it extraction builds its
+        indexes per call.
         """
         if state is None:
             state = PipelineState()
@@ -285,7 +290,7 @@ class PGHive:
             )
         self._extract_and_tally(
             schema, timer, result, node_outcome, edge_outcome,
-            summary_options, exclude_record,
+            summary_options, exclude_record, key_indexes,
         )
 
     def _resolve_summary_options(
@@ -309,6 +314,7 @@ class PGHive:
         edge_outcome,
         summary_options: SummaryOptions | None,
         exclude_record: frozenset[str],
+        key_indexes: KeyIndexCache | None = None,
     ) -> None:
         with timer.measure("extraction"):
             extract_types(
@@ -318,6 +324,7 @@ class PGHive:
                 theta=self.config.theta,
                 summary_options=summary_options,
                 exclude_record=exclude_record,
+                key_indexes=key_indexes,
             )
         result.node_parameters = node_outcome.parameters or result.node_parameters
         result.edge_parameters = edge_outcome.parameters or result.edge_parameters

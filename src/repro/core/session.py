@@ -59,6 +59,7 @@ from repro.core.config import PGHiveConfig
 from repro.core.durability import read_artifact, write_artifact
 from repro.core.pipeline import DiscoveryResult, PGHive, PipelineState
 from repro.core.state import DiscoveryState
+from repro.core.type_extraction import KeyIndexCache
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
@@ -193,6 +194,10 @@ class SchemaSession:
         self._subscribers: list[DiffSubscriber] = []
         self._baseline: SchemaGraph | None = None
         self._store = None  # set by GraphStore.attach
+        #: Algorithm 2's key indexes over ``_schema``: a derived cache,
+        #: never saved; dropped on deletion and whenever the state is
+        #: replaced (see KeyIndexCache).
+        self._key_indexes = KeyIndexCache()
 
     # ------------------------------------------------------------------
     # DiscoveryState delegation (all mutable state lives in ``_dstate``)
@@ -432,6 +437,7 @@ class SchemaSession:
             ),
             exclude_record=exclude_record,
             signatures=signatures,
+            key_indexes=self._key_indexes,
         )
         if self._union is not None:
             # repro-lint: ignore[PGL301] -- union retention is an opt-in element-wise feature; the columnar fast path skips this branch entirely
@@ -495,6 +501,8 @@ class SchemaSession:
         return removed
 
     def _after_deletion(self) -> None:
+        # Types lost keys or went away: the suffix-posting index is stale.
+        self._key_indexes = KeyIndexCache()
         self._drop_empty_types()
         self._dirty = True
         # Accumulators are insert-monotone; they now overcount forever.
@@ -670,6 +678,7 @@ class SchemaSession:
         """Replace the session's state wholesale (fresh sessions only)."""
         self._dstate = state
         self._result.schema = state.schema
+        self._key_indexes = KeyIndexCache()
 
     @classmethod
     def from_state(

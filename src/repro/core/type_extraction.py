@@ -23,9 +23,11 @@ and member instances only accumulate.
 
 The Jaccard rule is answered by :class:`_KeyIndex`, an exact
 set-similarity index (the size and prefix filters of All-Pairs and
-PPJoin) built per call and only when the call has unlabeled clusters.
-It picks the same type a scan of every type in schema order would pick;
-``tests/seed_reference.py`` keeps that scan as the oracle.
+PPJoin), consulted only when a call has unlabeled clusters.  A session
+keeps its indexes across calls in a :class:`KeyIndexCache`; without one
+they are built per call.  Either way the index picks the same type a
+scan of every type in schema order would pick; ``tests/seed_reference.py``
+keeps that scan as the oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import islice
 from math import ceil
+from operator import is_not
 
 from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions
 from repro.core.clustering import ColumnarCluster
@@ -97,6 +100,7 @@ def extract_node_types(
     theta: float,
     summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
     exclude_record: frozenset[str] = frozenset(),
+    key_indexes: KeyIndexCache | None = None,
 ) -> SchemaGraph:
     """Fold node clusters into ``schema`` (lines 2-14 of Algorithm 2)."""
     unlabeled: list[ColumnarCluster] = []
@@ -128,7 +132,7 @@ def extract_node_types(
     # Labelled types first, abstract types second; both passes filter one
     # scored candidate list.  Unlabeled clusters add no labels, so a
     # type's pass cannot change inside this loop.
-    index = _KeyIndex(schema.node_types())
+    index = _key_index(key_indexes, schema, "nodes")
     for cluster in unlabeled:
         matches = index.matches(cluster.property_keys, theta)
         position = index.best(matches, theta, _has_labels)
@@ -149,6 +153,7 @@ def extract_edge_types(
     clusters: list[ColumnarCluster],
     theta: float,
     summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
+    key_indexes: KeyIndexCache | None = None,
 ) -> SchemaGraph:
     """Fold edge clusters into ``schema`` (section 4.3 "Edges")."""
     unlabeled: list[ColumnarCluster] = []
@@ -179,7 +184,7 @@ def extract_edge_types(
 
     if not unlabeled:
         return schema
-    index = _KeyIndex(schema.edge_types())
+    index = _key_index(key_indexes, schema, "edges")
     for cluster in unlabeled:
         position = index.best(
             index.matches(cluster.property_keys, theta),
@@ -201,6 +206,7 @@ def extract_types(
     theta: float = 0.9,
     summary_options: SummaryOptions | None = DEFAULT_OPTIONS,
     exclude_record: frozenset[str] = frozenset(),
+    key_indexes: KeyIndexCache | None = None,
 ) -> SchemaGraph:
     """Algorithm 2 entry point: merge both cluster kinds into ``schema``.
 
@@ -209,9 +215,15 @@ def extract_types(
     and edge ids live in separate namespaces that may overlap, so the
     exclusion applies to node extraction only -- an edge whose id happens
     to equal a stubbed node id must still be recorded.
+
+    ``key_indexes`` keeps the Jaccard indexes alive between calls on
+    the same schema (see :class:`KeyIndexCache`); output is identical
+    with and without it.
     """
-    extract_node_types(schema, node_clusters, theta, summary_options, exclude_record)
-    extract_edge_types(schema, edge_clusters, theta, summary_options)
+    extract_node_types(
+        schema, node_clusters, theta, summary_options, exclude_record, key_indexes
+    )
+    extract_edge_types(schema, edge_clusters, theta, summary_options, key_indexes)
     return schema
 
 
@@ -228,10 +240,11 @@ class _KeyIndex:
     """Exact candidate index for the Jaccard rule of Algorithm 2.
 
     Holds the types of one kind in schema order (``types[position]``),
-    one posting list of ascending positions per property key, and the
-    positions of types without keys.  Built per extraction call and
-    updated in place as clusters are absorbed or found new types; it is
-    never persisted.  :meth:`matches` returns exactly the types sharing a
+    one posting list of ascending positions per property key, the
+    positions of types without keys, and each type's posted key count.
+    Updated in place as clusters are absorbed or found new types, and
+    caught up by :meth:`sync` when kept across calls; it is never
+    persisted.  :meth:`matches` returns exactly the types sharing a
     key with the cluster (key-less types, for a key-less cluster) that a
     scan of every type would score at ``theta`` or above, with the same
     scores; :meth:`best` covers the zero scores that reach ``theta <= 0``.
@@ -247,15 +260,16 @@ class _KeyIndex:
       :func:`repro.util.jaccard` divides, so scores are bit-identical.
     """
 
-    __slots__ = ("types", "postings", "keyless", "_posted")
+    __slots__ = ("types", "postings", "keyless", "sizes")
 
     def __init__(self, types: Iterable) -> None:
         self.types: list = []
         self.postings: dict[str, list[int]] = {}
         #: positions of key-less types (dict as an ordered set)
         self.keyless: dict[int, None] = {}
-        #: per position, how many of the type's keys are posted
-        self._posted: list[int] = []
+        #: per position, how many of the type's keys are posted -- its
+        #: key count, which the size filter reads
+        self.sizes: list[int] = []
         for schema_type in types:
             self.add(schema_type)
 
@@ -263,10 +277,35 @@ class _KeyIndex:
         """Index a type at the next position (schema order)."""
         position = len(self.types)
         self.types.append(schema_type)
-        self._posted.append(0)
+        self.sizes.append(0)
         self.keyless[position] = None
         self.refresh(position)
         return position
+
+    def sync(self, types: Iterable) -> bool:
+        """Catch up with ``types``, the schema's types in schema order.
+
+        Between calls types only gain keys (a labelled absorption) and
+        new types are only appended, so posting the gained keys and
+        adding the new types brings the index up to date.  Returns
+        False, leaving the index unusable, when ``types`` is not the
+        indexed sequence extended at its end or a type lost keys: the
+        caller rebuilds.
+        """
+        types = list(types)
+        indexed, sizes = self.types, self.sizes
+        count = len(indexed)
+        if len(types) < count or any(map(is_not, indexed, types)):
+            return False
+        for position, schema_type in enumerate(islice(types, count)):
+            size = len(schema_type.properties)
+            if size != sizes[position]:
+                if size < sizes[position]:
+                    return False
+                self.refresh(position)
+        for schema_type in islice(types, count, None):
+            self.add(schema_type)
+        return True
 
     def refresh(self, position: int) -> None:
         """Post the keys ``types[position]`` gained since it was indexed.
@@ -277,14 +316,14 @@ class _KeyIndex:
         keys are the suffix past the posted count.
         """
         properties = self.types[position].properties
-        posted = self._posted[position]
+        posted = self.sizes[position]
         if len(properties) == posted:
             return
         self.keyless.pop(position, None)
         postings = self.postings
         for key in islice(properties, posted, None):
             insort(postings.setdefault(key, []), position)
-        self._posted[position] = len(properties)
+        self.sizes[position] = len(properties)
 
     def candidates(self, keys: set[str], theta: float) -> list[int]:
         """Ascending positions that pass the prefix and size filters."""
@@ -302,11 +341,9 @@ class _KeyIndex:
         found = set().union(*prefix)
         if slack > 0.0:
             low, high = slack * n, n / slack
-            types = self.types
+            sizes = self.sizes
             found = {
-                position
-                for position in found
-                if low <= len(types[position].properties) <= high
+                position for position in found if low <= sizes[position] <= high
             }
         return sorted(found)
 
@@ -349,6 +386,45 @@ class _KeyIndex:
                 None,
             )
         return best
+
+
+class KeyIndexCache:
+    """Algorithm 2's node and edge key indexes, kept across calls.
+
+    A derived cache of one schema: each
+    :class:`~repro.core.session.SchemaSession` owns one and hands it to
+    every extraction call, so the indexes are caught up
+    (:meth:`_KeyIndex.sync`) instead of rebuilt from every type.  It is never part of ``DiscoveryState``,
+    ``PipelineState``, a checkpoint, the WAL or the shard handoff; the
+    session drops it whenever the schema loses types or keys (any
+    deletion) or is replaced (restore, adopted or merged states).  A
+    different schema object, a removed or reordered type, or a type
+    with fewer keys than indexed also forces a rebuild here.
+    """
+
+    __slots__ = ("schema", "nodes", "edges")
+
+    def __init__(self) -> None:
+        self.schema: SchemaGraph | None = None
+        self.nodes: _KeyIndex | None = None
+        self.edges: _KeyIndex | None = None
+
+
+def _key_index(
+    cache: KeyIndexCache | None, schema: SchemaGraph, kind: str
+) -> _KeyIndex:
+    """The ``kind`` index of ``schema``: from ``cache`` when it is kept
+    there and still valid, else freshly built (and kept)."""
+    types = schema.node_types if kind == "nodes" else schema.edge_types
+    if cache is None:
+        return _KeyIndex(types())
+    if cache.schema is not schema:
+        cache.schema, cache.nodes, cache.edges = schema, None, None
+    index = getattr(cache, kind)
+    if index is None or not index.sync(types()):
+        index = _KeyIndex(types())
+        setattr(cache, kind, index)
+    return index
 
 
 def _has_labels(schema_type) -> bool:

@@ -31,7 +31,6 @@ from itertools import chain
 import numpy as np
 
 from repro.errors import ClusteringError, ConfigurationError  # noqa: F401 (re-export)
-from repro.lsh.base import GroupingRule, group
 
 _MERSENNE_PRIME = (1 << 61) - 1
 #: Bucket value reserved for the empty set so all empty sets collide.
@@ -374,19 +373,8 @@ class MinHashLSH:
         return self.fold_bands(self.signatures_batch(token_sets, token_ids))
 
     # ------------------------------------------------------------------
-    # Clustering and similarity
+    # Similarity
     # ------------------------------------------------------------------
-    def cluster(
-        self,
-        token_sets: Sequence[Iterable[str]],
-        rule: GroupingRule = GroupingRule.AND,
-    ) -> list[list[int]]:
-        """Group indices of ``token_sets`` under the chosen rule."""
-        signatures = self.signatures(token_sets)
-        if signatures.size == 0:
-            return []
-        return group(signatures, rule)
-
     def estimate_jaccard(
         self, left: Iterable[str], right: Iterable[str]
     ) -> float:

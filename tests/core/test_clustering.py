@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.core import adaptive, pipeline
 from repro.core.clustering import cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.preprocess import Preprocessor
+from repro.core.session import SchemaSession
+from repro.datasets.noise import apply_noise
+from repro.datasets.registry import load_dataset
+from repro.graph.batching import split_into_batches
 from repro.graph.columnar import ElementBatch, Interner
+from repro.graph.model import Node
+from repro.lsh.elsh import EuclideanLSH
 
 
 @pytest.fixture
@@ -105,3 +112,78 @@ class TestClusterFeatures:
         outcome = cluster_features_columnar(node_features, config, "nodes")
         assert outcome.parameters.bucket_length == 5.0
         assert outcome.parameters.num_tables == 3
+
+    @pytest.mark.parametrize("method", list(ClusteringMethod))
+    def test_colliding_label_tokens_keep_both_label_sets(self, method):
+        # {"A+B"} and {"A", "B"} share the token "A+B", hence the vector
+        # and the MinHash token set; the cluster must still union both.
+        nodes = [
+            Node("a", frozenset({"A+B"}), {"x": 1}),
+            Node("b", frozenset({"A", "B"}), {"x": 2}),
+            Node("c", frozenset({"A+B"}), {"x": 3}),
+        ]
+        batch = ElementBatch.from_elements(nodes, [], Interner())
+        config = PGHiveConfig(method=method, seed=2)
+        features = Preprocessor(config).fit_batch(batch).node_features_columnar(
+            batch
+        )
+        outcome = cluster_features_columnar(features, config, "nodes")
+        assert [cluster.member_ids for cluster in outcome.clusters] == [
+            ["a", "b", "c"]
+        ]
+        assert outcome.clusters[0].labels == {"A+B", "A", "B"}
+
+
+def distinct_patterns(block) -> int:
+    """Distinct (label set, token[, endpoint tokens], key set) rows."""
+    columns = [block.labelset_list, block.token_sids.tolist(), block.keyset_list]
+    if block.is_edges:
+        columns += [block.src_token_list, block.tgt_token_list]
+    return len(set(zip(*columns)))
+
+
+class TestDistinctPatternWork:
+    def test_elsh_and_mu_see_one_row_per_pattern(self, monkeypatch):
+        # Counted, not timed: on an unlabeled noisy ELSH feed, the rows
+        # ELSH hashes and the rows mu's all-pairs distances cover must
+        # be the block's distinct patterns, not its rows.  Per-row work
+        # reads the row count (~4x the pattern count here).
+        seen = {"rows": [], "patterns": [], "hashed": [], "paired": []}
+        clusterer = pipeline.cluster_features_columnar
+        cluster = EuclideanLSH.cluster
+        pair_distances = adaptive.pair_distance_matrix
+
+        def clustering(features, *args, **kwargs):
+            seen["rows"].append(len(features))
+            seen["patterns"].append(distinct_patterns(features.block))
+            return clusterer(features, *args, **kwargs)
+
+        def hashing(lsh, vectors, *args, **kwargs):
+            seen["hashed"].append(len(vectors))
+            return cluster(lsh, vectors, *args, **kwargs)
+
+        def pairing(vectors):
+            seen["paired"].append(len(vectors))
+            return pair_distances(vectors)
+
+        monkeypatch.setattr(pipeline, "cluster_features_columnar", clustering)
+        monkeypatch.setattr(EuclideanLSH, "cluster", hashing)
+        monkeypatch.setattr(adaptive, "pair_distance_matrix", pairing)
+        dataset = apply_noise(
+            load_dataset("LDBC", nodes=300, seed=1),
+            property_noise=0.2,
+            label_availability=0.0,
+            seed=1,
+        )
+        session = SchemaSession(PGHiveConfig(method=ClusteringMethod.ELSH))
+        for batch in split_into_batches(dataset.graph, 12, seed=1):
+            session.add_batch(batch)
+        all_pairs = [
+            patterns
+            for rows, patterns in zip(seen["rows"], seen["patterns"])
+            if 2 <= rows <= 200  # larger blocks sample pairs instead
+        ]
+        assert len(all_pairs) >= 20
+        assert seen["hashed"] == seen["patterns"]
+        assert seen["paired"] == all_pairs
+        assert sum(seen["patterns"]) < 0.5 * sum(seen["rows"])

@@ -6,9 +6,11 @@ bit-identical schema to an uninterrupted run over the same stream.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+import repro.util
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.durability import payload_digest
 from repro.core.session import (
@@ -16,6 +18,10 @@ from repro.core.session import (
     CHECKPOINT_VERSION,
     SchemaSession,
 )
+from repro.core.serialization import to_pg_schema
+from repro.core.type_extraction import KeyIndexCache
+from repro.datasets.noise import apply_noise
+from repro.datasets.registry import load_dataset
 from repro.errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -103,6 +109,37 @@ class TestCheckpointCoverage:
         # The restored session keeps deleting against the restored union.
         restored.apply(ChangeSet.deletions(nodes=["org"]))
         assert restored.schema().node_type_by_token("Org.") is None
+
+    def test_key_index_cache_stays_out_of_saved_state(self, tmp_path, monkeypatch):
+        # Algorithm 2's key indexes are a session-owned derived cache: a
+        # session that kept them warm across every change-set and one
+        # that dropped them before each must save the same bytes and
+        # read the same schema.  A frozen clock makes report timings
+        # agree.
+        frozen = SimpleNamespace(perf_counter=lambda: 0.0)
+        monkeypatch.setattr(repro.util, "time", frozen)
+        graph = apply_noise(
+            load_dataset("LDBC", nodes=200, seed=1),
+            property_noise=0.2,
+            label_availability=0.0,
+            seed=1,
+        ).graph
+        config = PGHiveConfig(method=ClusteringMethod.ELSH, seed=0)
+        warm, cold = SchemaSession(config), SchemaSession(config)
+        for batch in stream(graph, batches=4):
+            warm.add_batch(batch)
+            cold._key_indexes = KeyIndexCache()
+            cold.add_batch(batch)
+        assert warm._key_indexes.nodes is not None
+        assert len(warm._key_indexes.nodes.types) > 1
+        warm_bytes = warm.checkpoint(tmp_path / "warm.ckpt").read_bytes()
+        cold_bytes = cold.checkpoint(tmp_path / "cold.ckpt").read_bytes()
+        assert warm_bytes == cold_bytes
+        assert b"KeyIndex" not in warm_bytes
+        assert to_pg_schema(warm.schema()) == to_pg_schema(cold.schema())
+        assert schema_fingerprint(warm.schema()) == schema_fingerprint(
+            cold.schema()
+        )
 
     def test_dirty_flag_round_trips(self, figure1_graph, tmp_path):
         session = SchemaSession(PGHiveConfig(seed=0))

@@ -245,6 +245,29 @@ class TestShardedSession:
             fingerprints.append(schema_fingerprint(session.schema()))
         assert fingerprints[0] == fingerprints[1] == fingerprints[2]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="one ELSH shard folds labelled LDBC edges differently from a "
+        "single session: 16 edge types vs 17 (MinHash 17/17); see ROADMAP "
+        "'ELSH that depends on structure, not on batches' and 'Label-pure "
+        "clusters'",
+    )
+    def test_one_elsh_shard_equals_single_session(self):
+        graph = load_dataset("LDBC", nodes=300, seed=2).graph
+        config = PGHiveConfig(seed=2, method=ClusteringMethod.ELSH)
+        single = SchemaSession(config)
+        with ShardedSchemaSession(config, n_shards=1) as sharded:
+            for batch in split_into_batches(graph, 3, seed=2):
+                single.add_batch(batch)
+                sharded.add_batch(batch)
+            assert (
+                sharded.schema().edge_type_count
+                == single.schema().edge_type_count
+            )
+            assert schema_fingerprint(sharded.schema()) == schema_fingerprint(
+                single.schema()
+            )
+
     def test_shard_sessions_unavailable_in_parallel_mode(self):
         session = ShardedSchemaSession(n_shards=2, parallel=True)
         with pytest.raises(ConfigurationError):

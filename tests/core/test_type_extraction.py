@@ -12,9 +12,10 @@ from repro.core.type_extraction import (
 from repro.datasets.noise import apply_noise
 from repro.datasets.registry import load_dataset
 from repro.graph.batching import split_into_batches
+from repro.graph.changes import ChangeSet
 from repro.graph.columnar import ElementBatch, Interner
 from repro.graph.model import Edge, Node
-from repro.schema.model import SchemaGraph
+from repro.schema.model import NodeType, SchemaGraph
 
 
 def _cluster_of_all(block, interner) -> ColumnarCluster:
@@ -398,3 +399,95 @@ class TestJaccardIndexWork:
             session.add_batch(batch)
         assert counts["types"] > 10_000
         assert counts["scored"] <= 0.15 * counts["types"]
+
+    def test_session_keeps_its_indexes_across_calls(self, monkeypatch):
+        # Counted: an insert-only session builds each kind's index once
+        # and catches it up on every later call instead of rebuilding.
+        counts = {"built": 0, "synced": 0}
+        build = type_extraction._KeyIndex.__init__
+        sync = type_extraction._KeyIndex.sync
+
+        def building(index, types):
+            counts["built"] += 1
+            build(index, types)
+
+        def syncing(index, types):
+            counts["synced"] += 1
+            return sync(index, types)
+
+        monkeypatch.setattr(type_extraction._KeyIndex, "__init__", building)
+        monkeypatch.setattr(type_extraction._KeyIndex, "sync", syncing)
+        dataset = apply_noise(
+            load_dataset("LDBC", nodes=300, seed=1),
+            property_noise=0.2,
+            label_availability=0.0,
+            seed=1,
+        )
+        session = SchemaSession(PGHiveConfig(method=ClusteringMethod.ELSH))
+        for batch in split_into_batches(dataset.graph, 6, seed=1):
+            session.add_batch(batch)
+        # Edges keep their labels under label_availability=0.0, so only
+        # the node index is ever needed: one build, then one catch-up
+        # per later change-set.
+        assert counts == {"built": 1, "synced": 5}
+
+
+def keyed_type(type_id: str, keys) -> NodeType:
+    node_type = NodeType(type_id, set(), abstract=True)
+    for key in keys:
+        node_type.ensure_property(key)
+    return node_type
+
+
+class TestKeyIndexCache:
+    def test_sync_posts_gained_keys_and_appended_types(self):
+        first = keyed_type("n1", ["a"])
+        index = type_extraction._KeyIndex([first])
+        first.ensure_property("b")
+        second = keyed_type("n2", ["b", "c"])
+        assert index.sync([first, second])
+        assert index.types == [first, second]
+        assert index.sizes == [2, 2]
+        assert index.postings == {"a": [0], "b": [0, 1], "c": [1]}
+        assert index.candidates({"b", "c"}, 0.9) == [1]
+
+    def test_sync_refuses_removed_reordered_or_shrunk_types(self):
+        first, second = keyed_type("n1", ["a", "b"]), keyed_type("n2", ["c"])
+        assert not type_extraction._KeyIndex([first, second]).sync([second])
+        assert not type_extraction._KeyIndex([first, second]).sync([first])
+        assert not type_extraction._KeyIndex([first, second]).sync(
+            [second, first]
+        )
+        index = type_extraction._KeyIndex([first, second])
+        # A deletion pops keys.  (A pop followed by a gain can restore
+        # the count, which sync cannot see; sessions drop the cache on
+        # every deletion instead of relying on this check.)
+        del first.properties["b"]
+        assert not index.sync([first, second])
+
+    def test_cache_is_rebuilt_for_another_schema(self):
+        cache = type_extraction.KeyIndexCache()
+        left, right = SchemaGraph(), SchemaGraph()
+        left.add_node_type(keyed_type("n1", ["a"]))
+        right.add_node_type(keyed_type("n1", ["b"]))
+        index = type_extraction._key_index(cache, left, "nodes")
+        assert type_extraction._key_index(cache, left, "nodes") is index
+        rebuilt = type_extraction._key_index(cache, right, "nodes")
+        assert rebuilt is not index
+        assert cache.schema is right
+        assert list(rebuilt.postings) == ["b"]
+
+    def test_session_drops_its_cache_on_deletion_and_restore(self, tmp_path):
+        session = SchemaSession(PGHiveConfig(seed=1, retain_union=True))
+        session.apply(
+            ChangeSet.inserts(
+                nodes=[Node("a", frozenset(), {"x": 1}), Node("b", frozenset(), {})]
+            )
+        )
+        assert session._key_indexes.schema is session.schema_graph
+        session.apply(ChangeSet.deletions(nodes=["a"]))
+        assert session._key_indexes.schema is None
+        session.apply(ChangeSet.inserts(nodes=[Node("c", frozenset(), {"y": 1})]))
+        assert session._key_indexes.schema is session.schema_graph
+        restored = SchemaSession.restore(session.checkpoint(tmp_path / "s.ckpt"))
+        assert restored._key_indexes.schema is None

@@ -7,6 +7,8 @@ from repro.errors import ConfigurationError
 from repro.lsh.base import GroupingRule
 from repro.lsh.minhash import MinHashLSH, exact_jaccard
 
+from tests.seed_reference import minhash_cluster
+
 
 class TestConfiguration:
     def test_invalid_tables(self):
@@ -67,7 +69,7 @@ class TestClustering:
     def test_and_rule_groups_identical_sets(self):
         lsh = MinHashLSH(num_tables=10, band_size=2, seed=0)
         sets = [{"a", "b"}, {"a", "b"}, {"c", "d"}, {"c", "d"}, {"e"}]
-        clusters = lsh.cluster(sets, rule=GroupingRule.AND)
+        clusters = minhash_cluster(lsh, sets, rule=GroupingRule.AND)
         as_sets = [set(c) for c in clusters]
         assert {0, 1} in as_sets
         assert {2, 3} in as_sets
@@ -78,13 +80,15 @@ class TestClustering:
         base = set("abcdefghij")
         similar = set("abcdefghi")  # J = 0.9
         different = set("zyxwv")
-        clusters = lsh.cluster([base, similar, different], rule=GroupingRule.OR)
+        clusters = minhash_cluster(
+            lsh, [base, similar, different], rule=GroupingRule.OR
+        )
         membership = {i: n for n, cluster in enumerate(clusters) for i in cluster}
         assert membership[0] == membership[1]
         assert membership[0] != membership[2]
 
     def test_empty_input(self):
-        assert MinHashLSH(num_tables=3).cluster([]) == []
+        assert minhash_cluster(MinHashLSH(num_tables=3), []) == []
 
 
 class TestExactJaccard:

@@ -11,7 +11,7 @@ layer and compared with the element-at-a-time restatement in
   per-element hybrid vectors (bit-identical);
 * partition -- ``cluster_features_columnar`` vs adaptive LSH over the
   per-element vectors and per-element token sets (same clusters, same
-  order, same parameters);
+  order, same parameters, same representative patterns);
 * recording -- ``ColumnarCluster.record_into`` vs per-member
   ``record_instance`` plus per-cell ``TypeSummaries.observe`` folds, into
   fresh types and into one long-lived type per kind (replays and
@@ -168,6 +168,9 @@ CONFIGS = {
         method=ClusteringMethod.MINHASH, seed=5, grouping_rule=GroupingRule.OR
     ),
     "elsh-and": PGHiveConfig(method=ClusteringMethod.ELSH, seed=5),
+    "elsh-or": PGHiveConfig(
+        method=ClusteringMethod.ELSH, seed=5, grouping_rule=GroupingRule.OR
+    ),
 }
 OPTIONS = [
     None,
@@ -201,6 +204,12 @@ def _check_kind(kind, features, elements, node_of, state, config, options, stubs
     make_type = NodeType if kind == "nodes" else EdgeType
     for cluster in outcome.clusters:
         members = [elements[row] for row in cluster.member_rows]
+        assert (
+            cluster.labels,
+            cluster.property_keys,
+            cluster.source_tokens,
+            cluster.target_tokens,
+        ) == seed_reference.representative(members, node_of)
         fresh = make_type("t", set(cluster.labels))
         reference = make_type("t", set(cluster.labels))
         cluster.record_into(fresh, options, stubs)

@@ -10,8 +10,10 @@ the two layer by layer:
   label-token embedding (three of them for edges) followed by a binary
   indicator over the batch's sorted property keys;
 * **partition** (section 4.2) -- adaptive LSH parameters over those
-  vectors, then ELSH over the vectors or MinHash over each element's own
-  token set (signed from token strings, never from interned ids);
+  vectors, with the distance scale mu taken over every element pair,
+  then ELSH hashing every element's vector or MinHash over each
+  element's own token set (signed from token strings, never from
+  interned ids);
 * **recording** (section 4.3) -- members attached one by one through
   ``record_instance`` and folded cell by cell through
   :meth:`TypeSummaries.observe`;
@@ -31,11 +33,18 @@ import numpy as np
 
 from repro.core import type_extraction
 from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions, ensure_summaries
-from repro.core.adaptive import AdaptiveParameters, adapt_parameters
+from repro.core.adaptive import (
+    MAX_DISTANCE_PAIRS,
+    SAMPLE_FLOOR,
+    SAMPLE_FRACTION,
+    AdaptiveParameters,
+    parameters_for_scale,
+)
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.embedding.word2vec import Word2Vec
 from repro.graph.columnar import ColumnarElements, ElementBatch
 from repro.graph.model import Edge, Node
+from repro.lsh.base import GroupingRule, group
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
 from repro.schema.model import EdgeType
@@ -123,6 +132,64 @@ def edge_token_set(edge: Edge, node_of: dict[str, Node]) -> frozenset[str]:
     return frozenset(tokens)
 
 
+def representative(
+    members: list[Node] | list[Edge], node_of: dict[str, Node]
+) -> tuple[set[str], set[str], set[str], set[str]]:
+    """``rep(C)``: unions of labels, keys, and (edges) endpoint tokens."""
+    labels: set[str] = set()
+    keys: set[str] = set()
+    sources: set[str] = set()
+    targets: set[str] = set()
+    for member in members:
+        labels |= member.labels
+        keys |= set(member.properties)
+        if isinstance(member, Edge):
+            sources.add(node_of[member.source_id].token)
+            targets.add(node_of[member.target_id].token)
+    return labels, keys, sources, targets
+
+
+def estimate_distance_scale(vectors: np.ndarray, rng: np.random.Generator) -> float:
+    """Average pairwise Euclidean distance, one delta per element pair."""
+    count = len(vectors)
+    if count < 2:
+        return 0.0
+    sample_size = max(int(count * SAMPLE_FRACTION), SAMPLE_FLOOR)
+    sample_size = min(sample_size, count)
+    indices = (
+        np.arange(count)
+        if sample_size == count
+        else rng.choice(count, size=sample_size, replace=False)
+    )
+    sample = vectors[indices]
+
+    if sample_size <= 200:
+        deltas = sample[:, None, :] - sample[None, :, :]
+        squared = np.einsum("ijk,ijk->ij", deltas, deltas)
+        upper = squared[np.triu_indices(sample_size, k=1)]
+        return float(np.sqrt(upper).mean()) if upper.size else 0.0
+
+    pair_budget = min(MAX_DISTANCE_PAIRS, sample_size * (sample_size - 1) // 2)
+    left = rng.integers(0, sample_size, pair_budget)
+    right = rng.integers(0, sample_size, pair_budget)
+    distinct = left != right
+    if not np.any(distinct):
+        return 0.0
+    deltas = sample[left[distinct]] - sample[right[distinct]]
+    distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+    return float(distances.mean())
+
+
+def minhash_cluster(
+    lsh: MinHashLSH, token_sets: list, rule: GroupingRule = GroupingRule.AND
+) -> list[list[int]]:
+    """Group indices of ``token_sets`` by their own banded signatures."""
+    signatures = lsh.signatures(token_sets)
+    if signatures.size == 0:
+        return []
+    return group(signatures, rule)
+
+
 def partition(
     vectors: np.ndarray,
     token_sets: list[frozenset[str]],
@@ -133,12 +200,15 @@ def partition(
     """Per-element LSH partition (member rows per cluster, in order)."""
     if not token_sets:
         return [], None
-    parameters = adapt_parameters(
-        vectors,
+    mu = estimate_distance_scale(
+        vectors, np.random.default_rng(derive_seed(config.seed, "adaptive", kind))
+    )
+    parameters = parameters_for_scale(
+        mu,
         label_count=label_count,
+        element_count=len(vectors),
         kind=kind,
         overrides=config.node_lsh if kind == "nodes" else config.edge_lsh,
-        seed=derive_seed(config.seed, "adaptive", kind),
     )
     if config.method is ClusteringMethod.ELSH:
         lsh = EuclideanLSH(
@@ -154,7 +224,7 @@ def partition(
             band_size=config.minhash_band_size,
             seed=derive_seed(config.seed, "minhash", kind),
         )
-        groups = lsh.cluster(token_sets, rule=config.grouping_rule)
+        groups = minhash_cluster(lsh, token_sets, rule=config.grouping_rule)
     return [list(rows) for rows in groups], parameters
 
 
