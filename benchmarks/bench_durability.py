@@ -29,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_incremental_stream import synthetic_stream
+from bench_common import synthetic_stream
 
 from repro.core.config import PGHiveConfig
 from repro.core.recovery import DurableSchemaSession

@@ -19,7 +19,6 @@ mergeable per-shard sessions (optionally in worker processes).
 """
 
 from repro.core.config import AdaptiveOverrides, ClusteringMethod, PGHiveConfig
-from repro.core.maintenance import MaintainedSchema
 from repro.core.pipeline import DiscoveryResult, PGHive
 from repro.core.recovery import DurableSchemaSession, DurableShardedSchemaSession
 from repro.core.session import ChangeReport, DiffEvent, SchemaSession
@@ -57,7 +56,6 @@ __all__ = [
     "GraphStore",
     "GroupingRule",
     "HashPartitioner",
-    "MaintainedSchema",
     "Node",
     "NodeType",
     "PGHive",

@@ -24,7 +24,7 @@ Rule families (see :mod:`repro.analysis.rules`):
 * ``PGL4xx`` cross-process safety -- nothing unpicklable submitted to a
   ``ProcessPoolExecutor``.
 * ``PGL5xx`` API hygiene -- mutable default arguments and accumulator
-  ``merge_from``/``copy``/``observe*`` signature drift.
+  ``merge_from``/``copy`` signature drift.
 
 False positives are silenced in place with a justified suppression::
 

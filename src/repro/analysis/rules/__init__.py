@@ -10,7 +10,7 @@ Rule ids are stable API (suppression comments reference them):
 * ``PGL303`` ``searchsorted`` calls inside loops or comprehensions
 * ``PGL401`` unpicklable callables submitted to process pools
 * ``PGL501`` mutable default arguments
-* ``PGL502`` accumulator ``merge_from``/``copy``/``observe*`` drift
+* ``PGL502`` accumulator ``merge_from``/``copy`` signature drift
 * ``PGL601`` pickled artifacts written without the atomic durability helper
 * ``PGL701`` durable-session mutation reachable before the WAL append
 * ``PGL702`` interprocedural pickle-to-raw-write paths around the helpers

@@ -5,13 +5,13 @@ is evaluated once and shared across calls, which in accumulator-heavy
 code turns into cross-instance state bleed.  ``frozenset()``/``tuple()``
 defaults are immutable and fine.
 
-``PGL502`` -- accumulator protocol drift.  The merge lattice and the
-columnar ≡ element-wise oracle tests rely on a uniform protocol:
-``merge_from(self, other)`` and ``copy(self)`` with exactly those
-parameters, and every ``observe_column``-style bulk method shipping
-alongside an element-wise ``observe`` oracle on the same class.  A
-signature that drifts breaks callers that treat accumulators uniformly
-(``TypeSummaries.merge_from`` fans out to its members positionally).
+``PGL502`` -- accumulator protocol drift.  The merge lattice relies on a
+uniform protocol: ``merge_from(self, other)`` and ``copy(self)`` with
+exactly those parameters.  A signature that drifts breaks callers that
+treat accumulators uniformly (``TypeSummaries.merge_from`` fans out to
+its members positionally).  The element-wise folds the columnar
+``observe_*`` methods must equal live in ``tests/seed_reference.py``,
+where the columnar oracle compares them.
 """
 
 from __future__ import annotations
@@ -72,19 +72,12 @@ _PROTOCOL = {
     "copy": (),
 }
 
-#: Class-name suffixes that opt a class into the observe-pairing check.
-_ACCUMULATOR_SUFFIXES = ("Accumulator", "Tracker", "Summaries")
-
-
 class AccumulatorSignatureRule(Rule):
-    """PGL502: accumulator merge_from/copy/observe protocol drift."""
+    """PGL502: accumulator merge_from/copy protocol drift."""
 
     rule_id = "PGL502"
     name = "accumulator-signature"
-    description = (
-        "merge_from/copy signature drift, or observe_column without an "
-        "element-wise observe oracle on an accumulator class"
-    )
+    description = "merge_from/copy signature drift on an accumulator class"
     default_scope = ("src/repro/",)
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Diagnostic]:
@@ -116,19 +109,6 @@ class AccumulatorSignatureRule(Rule):
                     f"protocol is {name}(self"
                     + ("".join(f", {p}" for p in expected))
                     + ")",
-                )
-        if class_def.name.endswith(_ACCUMULATOR_SUFFIXES):
-            has_bulk = any(
-                name.startswith("observe_") and "column" in name
-                for name in methods
-            )
-            if has_bulk and "observe" not in methods:
-                yield ctx.diagnostic(
-                    class_def,
-                    self.rule_id,
-                    f"{class_def.name} has a columnar observe_* method but "
-                    "no element-wise observe oracle; the columnar path must "
-                    "stay cross-checkable",
                 )
 
     @staticmethod

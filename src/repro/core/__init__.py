@@ -34,7 +34,6 @@ from repro.core.key_inference import (
     infer_keys_streaming,
     to_pg_keys,
 )
-from repro.core.maintenance import MaintainedSchema
 from repro.core.pipeline import CAPABILITIES, DiscoveryResult, PGHive
 from repro.core.preprocess import Preprocessor
 from repro.core.serialization import to_pg_schema, to_xsd
@@ -61,7 +60,6 @@ __all__ = [
     "DistinctTracker",
     "EndpointAccumulator",
     "KeyAccumulator",
-    "MaintainedSchema",
     "PGHive",
     "PGHiveConfig",
     "Preprocessor",

@@ -30,6 +30,10 @@ Summaries attach to schema types as the duck-typed ``summaries``
 attribute; :meth:`repro.schema.model._TypeBase._absorb_base` merges them
 monotonically when Algorithm 2 collapses two types, so the streaming
 reads stay equal to the full-scan oracle across arbitrary merge orders.
+
+Every fold here consumes whole columns or key-set groups; the one-cell-
+at-a-time folds they must equal live in ``tests/seed_reference.py``,
+where the columnar oracle compares the two.
 """
 
 from __future__ import annotations
@@ -124,25 +128,10 @@ class DatatypeAccumulator:
     def __init__(self) -> None:
         self.types: dict[str, DataType] = {}
 
-    def observe(self, key: str, value: Any) -> None:
-        """Fold one observed value into the lattice element for ``key``."""
-        current = self.types.get(key)
-        if current is DataType.STRING:
-            return  # STRING is the absorbing top element.
-        value_type = infer_value_type(value)
-        self.types[key] = (
-            value_type if current is None else generalize(current, value_type)
-        )
-
-    def observe_all(self, properties: Mapping[str, Any]) -> None:
-        """Fold every property of one element."""
-        for key, value in properties.items():
-            self.observe(key, value)
-
     def observe_column(self, key: str, values: Sequence[Any]) -> None:
         """Fold one whole value column for ``key`` (columnar ingest path).
 
-        Equivalent to calling :meth:`observe` per cell -- the lattice join
+        Equivalent to folding each cell on its own -- the lattice join
         is associative, commutative, and idempotent -- but vectorised:
         homogeneous numeric/bool columns resolve with one type check,
         string columns fold *distinct* values only, and every path stops
@@ -214,26 +203,15 @@ class EndpointAccumulator:
         self.max_out = 0
         self.max_in = 0
 
-    def observe(self, source_id: str, target_id: str) -> None:
-        """Fold one edge instance's endpoints."""
-        targets = self.targets_per_source.setdefault(source_id, set())
-        targets.add(target_id)
-        if len(targets) > self.max_out:
-            self.max_out = len(targets)
-        sources = self.sources_per_target.setdefault(target_id, set())
-        sources.add(source_id)
-        if len(sources) > self.max_in:
-            self.max_in = len(sources)
-
     def observe_pairs(
         self, source_ids: Sequence[str], target_ids: Sequence[str]
     ) -> None:
         """Fold many edge endpoint pairs at once (columnar ingest path).
 
-        Equivalent to :meth:`observe` per pair -- endpoint sets only grow,
-        so the running maxima are order-invariant -- with the per-pair
-        bookkeeping flattened into local bindings (this is the hottest
-        per-edge loop left on the columnar path).
+        Endpoint sets only grow, so the running maxima are
+        order-invariant; the per-pair bookkeeping is flattened into local
+        bindings (this is the hottest per-edge loop left on the columnar
+        path).
         """
         targets_per_source = self.targets_per_source
         sources_per_target = self.sources_per_target
@@ -328,24 +306,13 @@ class DistinctTracker:
         """True while no two distinct instances shared a value."""
         return self.witnesses is not None
 
-    def observe(self, value: object, instance_id: str) -> None:
-        """Fold one (value, instance) observation."""
-        self.count += 1
-        witnesses = self.witnesses
-        if witnesses is None:
-            return
-        prior = witnesses.setdefault(value, instance_id)
-        if prior != instance_id:
-            self.witnesses = None
-
     def observe_column(
         self, values: Sequence[Any], instance_ids: Sequence[str]
     ) -> None:
         """Fold one value column (columnar ingest path).
 
-        Equivalent to per-cell :meth:`observe` calls: the duplicated
-        outcome is order-invariant, and a dead tracker skips the whole
-        column in O(1).
+        The duplicated outcome is order-invariant, and a dead tracker
+        skips the whole column in O(1).
         """
         self.count += len(instance_ids)
         witnesses = self.witnesses
@@ -425,49 +392,6 @@ class KeyAccumulator:
         self.pair_cap = pair_cap  # repro-lint: ignore[PGL201] -- construction-time config shared by both merge sides, not accumulated state
         self.instances = 0
 
-    def observe(self, instance_id: str, properties: Mapping[str, Any]) -> None:
-        """Fold one instance's property map."""
-        first_instance = self.instances == 0
-        self.instances += 1
-        for key, value in properties.items():
-            tracker = self.singles.get(key)
-            if tracker is None:
-                tracker = self.singles[key] = DistinctTracker()
-            tracker.observe(hashable_value(value), instance_id)
-        if first_instance:
-            keys = sorted(properties)
-            if len(keys) > self.pair_cap:
-                self.pair_overflow = True
-                return
-            for left, right in combinations(keys, 2):
-                tracker = DistinctTracker()
-                tracker.observe(
-                    (
-                        hashable_value(properties[left]),
-                        hashable_value(properties[right]),
-                    ),
-                    instance_id,
-                )
-                self.pairs[(left, right)] = tracker
-            return
-        dead: list[tuple[str, str]] = []
-        for pair, tracker in self.pairs.items():
-            left, right = pair
-            if left in properties and right in properties:
-                tracker.observe(
-                    (
-                        hashable_value(properties[left]),
-                        hashable_value(properties[right]),
-                    ),
-                    instance_id,
-                )
-            else:
-                # One key absent on one instance: neither key can be
-                # mandatory over this instance set, so the pair is dead.
-                dead.append(pair)
-        for pair in dead:
-            del self.pairs[pair]
-
     def observe_group(
         self,
         instance_ids: Sequence[str],
@@ -480,7 +404,6 @@ class KeyAccumulator:
         checks and pair pruning run once per group and trackers consume
         whole columns.  ``keys`` must be sorted (key-set interning
         guarantees it) and ``columns[key]`` aligned with ``instance_ids``.
-        Equivalent to per-instance :meth:`observe` calls in group order.
         """
         count = len(instance_ids)
         if count == 0:
@@ -601,19 +524,6 @@ class TypeSummaries:
         self.datatypes = DatatypeAccumulator()
         self.endpoints = EndpointAccumulator() if is_edge else None
         self.keys = KeyAccumulator(options.pair_cap) if options.track_keys else None
-
-    def observe(
-        self,
-        instance_id: str,
-        properties: Mapping[str, Any],
-        endpoints: tuple[str, str] | None = None,
-    ) -> None:
-        """Fold one newly recorded instance (exactly once per type)."""
-        self.datatypes.observe_all(properties)
-        if self.endpoints is not None and endpoints is not None:
-            self.endpoints.observe(*endpoints)
-        if self.keys is not None:
-            self.keys.observe(instance_id, properties)
 
     def merge_from(self, other: "TypeSummaries") -> None:
         """Monotone merge for type absorption (Lemmas 1-2 extended)."""

@@ -2,7 +2,7 @@
 
 Defaults follow the paper: adaptive LSH parameters (section 4.2), Jaccard
 merge threshold ``theta = 0.9`` (section 4.3), full post-processing with
-exact (non-sampled) datatype inference (section 4.4).
+exact datatype inference (section 4.4).
 """
 
 from __future__ import annotations
@@ -79,19 +79,15 @@ class PGHiveConfig:
     post_processing: bool = True
     #: Also infer candidate keys (PG-Keys extension; see
     #: repro.core.key_inference).  Off by default: it is an extension
-    #: beyond the paper's published pipeline and costs an extra value scan.
+    #: beyond the paper's published pipeline and costs a distinct-value
+    #: tracker per property (and capped property pair) of every type.
     infer_keys: bool = False
     #: Apply post-processing after every incremental batch instead of only
     #: after the final one (the ``postProcessing`` flag of Algorithm 1).
     post_process_each_batch: bool = False
-    #: Incremental post-processing reads the per-type streaming
-    #: accumulators (O(|schema|) per pass) instead of re-scanning a
-    #: cumulative union graph.  Disable (debug/oracle mode) to restore the
-    #: pre-accumulator full-scan behaviour; requires ``retain_union``.
-    streaming_postprocess: bool = True
     #: Keep the cumulative union graph inside the incremental engine.  Off
     #: by default -- the union grows without bound and exists only for
-    #: debugging, the full-scan oracle, and deletion maintenance.
+    #: deletions, whose reads re-scan it.
     retain_union: bool = False
     #: Composite-key tracking cap: pair trackers are only created while a
     #: type's first instance has at most this many property keys.
@@ -105,10 +101,6 @@ class PGHiveConfig:
     #: change which types Algorithm 2 merges (DESIGN.md "Structural
     #: dedup").
     structural_dedup: bool = True
-    #: Datatype inference by sampling (section 4.4): fraction + floor.
-    datatype_sampling: bool = False
-    datatype_sample_fraction: float = 0.1
-    datatype_min_sample: int = 1000
     #: Master seed; every random component derives a stable sub-seed.
     seed: int = 0
 
@@ -123,15 +115,6 @@ class PGHiveConfig:
             raise ConfigurationError(
                 f"label_weight must be > 0, got {self.label_weight}"
             )
-        if not 0.0 < self.datatype_sample_fraction <= 1.0:
-            raise ConfigurationError(
-                "datatype_sample_fraction must be in (0, 1], got "
-                f"{self.datatype_sample_fraction}"
-            )
-        if self.datatype_min_sample < 1:
-            raise ConfigurationError(
-                f"datatype_min_sample must be >= 1, got {self.datatype_min_sample}"
-            )
         if self.minhash_band_size < 1:
             raise ConfigurationError(
                 f"minhash_band_size must be >= 1, got {self.minhash_band_size}"
@@ -139,11 +122,6 @@ class PGHiveConfig:
         if self.hashes_per_table < 1:
             raise ConfigurationError(
                 f"hashes_per_table must be >= 1, got {self.hashes_per_table}"
-            )
-        if not self.streaming_postprocess and not self.retain_union:
-            raise ConfigurationError(
-                "streaming_postprocess=False re-scans the union graph and "
-                "therefore requires retain_union=True"
             )
         if self.key_pair_tracking_cap < 0:
             raise ConfigurationError(

@@ -6,27 +6,25 @@ priority chain (integer, float, boolean, date/time regex, string).  Because
 reconciliation generalises (int+float -> float, conflicts -> string), the
 assigned type is always compatible with every observed value (section 4.7).
 
-Full scans can be expensive, so the sampled mode draws
-``max(fraction * |values|, min_sample)`` values uniformly at random; the
-Figure 8 experiment measures how often sampling disagrees with a full scan.
-
-The incremental path avoids value scans altogether:
-:func:`infer_datatypes_streaming` reads the per-type
-:class:`~repro.core.accumulators.DatatypeAccumulator`, which folded every
-value once at arrival, so each call is O(|schema|) regardless of how much
-data the stream has carried.
+Discovery never scans values for this: :func:`infer_datatypes_streaming`
+reads the per-type :class:`~repro.core.accumulators.DatatypeAccumulator`,
+which folded every value once at arrival, so each call is O(|schema|)
+regardless of how much data the stream has carried.  The full scan
+:func:`infer_datatypes` is the read after a deletion (accumulators only
+grow) and the tests' oracle.  The Figure 8 experiment
+(:func:`repro.bench.experiments.figure8_sampling_errors`) draws
+``max(fraction * |values|, min_sample)`` values with :func:`sample_values`
+and measures how often a sample disagrees with the full value set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import PGHiveConfig
 from repro.errors import SchemaError
 from repro.graph.model import PropertyGraph
 from repro.schema.datatypes import DataType, infer_type
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
-from repro.util import derive_seed
 
 
 def collect_property_values(
@@ -39,7 +37,7 @@ def collect_property_values(
     getter = graph.edge if is_edge else graph.node
     values = []
     # Sorted: instance_ids is a set, and the value order feeds the
-    # sampling rng -- iteration must not depend on PYTHONHASHSEED.
+    # Figure 8 sampling rng -- iteration must not depend on PYTHONHASHSEED.
     for instance_id in sorted(schema_type.instance_ids):
         if is_edge:
             if not graph.has_edge(instance_id):
@@ -68,25 +66,12 @@ def sample_values(
     return [values[i] for i in indices]
 
 
-def infer_datatypes(
-    schema: SchemaGraph,
-    graph: PropertyGraph,
-    config: PGHiveConfig | None = None,
-) -> SchemaGraph:
-    """Fill ``spec.data_type`` for every property of every type.
-
-    With ``config.datatype_sampling`` enabled only a sample of the values is
-    scanned (falling back to STRING-compatible generalisation as always);
-    otherwise the full value set is used.
-    """
-    config = config or PGHiveConfig()
-    rng = np.random.default_rng(derive_seed(config.seed, "datatype-sampling"))
-    for node_type in schema.node_types():
-        _infer_for_type(schema_type=node_type, graph=graph, is_edge=False,
-                        config=config, rng=rng)
-    for edge_type in schema.edge_types():
-        _infer_for_type(schema_type=edge_type, graph=graph, is_edge=True,
-                        config=config, rng=rng)
+def infer_datatypes(schema: SchemaGraph, graph: PropertyGraph) -> SchemaGraph:
+    """Fill ``spec.data_type`` for every property from the full value set."""
+    for schema_type in schema.node_types():
+        _infer_for_type(schema_type, graph, is_edge=False)
+    for schema_type in schema.edge_types():
+        _infer_for_type(schema_type, graph, is_edge=True)
     return schema
 
 
@@ -97,8 +82,6 @@ def infer_datatypes_streaming(schema: SchemaGraph) -> SchemaGraph:
     the lattice join of every value observed for the (type, property)
     pair, and the join is order invariant, so this read matches
     :func:`infer_datatypes` over the cumulative union graph bit for bit.
-    Sampling settings are ignored -- the fold already paid O(1) per value
-    at arrival, so there is nothing left to sample.
     """
     for schema_type in (*schema.node_types(), *schema.edge_types()):
         summaries = schema_type.summaries
@@ -114,19 +97,8 @@ def infer_datatypes_streaming(schema: SchemaGraph) -> SchemaGraph:
 
 
 def _infer_for_type(
-    schema_type: NodeType | EdgeType,
-    graph: PropertyGraph,
-    is_edge: bool,
-    config: PGHiveConfig,
-    rng: np.random.Generator,
+    schema_type: NodeType | EdgeType, graph: PropertyGraph, is_edge: bool
 ) -> None:
     for key, spec in schema_type.properties.items():
         values = collect_property_values(graph, schema_type, key, is_edge)
-        if config.datatype_sampling:
-            values = sample_values(
-                values,
-                config.datatype_sample_fraction,
-                config.datatype_min_sample,
-                rng,
-            )
         spec.data_type = infer_type(values) if values else DataType.STRING

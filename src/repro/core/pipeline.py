@@ -135,24 +135,17 @@ class PGHive:
     ) -> DiscoveryResult:
         """Run the full pipeline over one graph.
 
-        One-shot adapter over :class:`~repro.core.session.SchemaSession`:
-        the graph is applied as a single change-set and post-processed by
-        full scan (the union of one batch *is* the input graph), which
-        preserves the historical static semantics exactly -- including
-        datatype sampling, which only exists on the full-scan path.
+        One ``add_batch`` on a default
+        :class:`~repro.core.session.SchemaSession`: static discovery is a
+        stream of one batch, post-processed from the per-type
+        accumulators like every other insert-only read.
         """
         from repro.core.session import SchemaSession
 
         graph = source.graph if isinstance(source, GraphStore) else source
         session = SchemaSession(
-            self.config,
-            schema_name=schema_name or f"{graph.name}-schema",
-            retain_union=True,
-            streaming_postprocess=False,
+            self.config, schema_name=schema_name or f"{graph.name}-schema"
         )
-        # The union of one batch is the input graph: adopt it by reference
-        # instead of paying an O(|graph|) merge copy.
-        session._adopt_union(graph)
         session.add_batch(graph)
         return session.finalize()
 
@@ -188,7 +181,6 @@ class PGHive:
         result: DiscoveryResult,
         state: PipelineState | None = None,
         build_summaries: bool = False,
-        summary_options: SummaryOptions | None = None,
         exclude_record: frozenset[str] = frozenset(),
         signatures: SignatureStore | None = None,
         key_indexes: KeyIndexCache | None = None,
@@ -209,11 +201,9 @@ class PGHive:
         earlier batches" design.
 
         ``build_summaries`` feeds the per-type streaming accumulators
-        during extraction; only the session's streaming path sets it --
-        static discovery and the union-rescan oracle post-process by full
-        scan, so building summaries there would be pure overhead.  When
-        set, ``summary_options`` overrides the config-derived tracking
-        options (the session uses it to apply its per-session key flag).
+        during extraction (keys tracked iff ``config.infer_keys``); the
+        session sets it unless post-processing is off or a deletion has
+        already made the accumulators stale.
 
         ``exclude_record`` names batch elements that must not be recorded
         as instances -- endpoint stubs owned by another shard.  They still
@@ -241,8 +231,13 @@ class PGHive:
         """
         if state is None:
             state = PipelineState()
-        summary_options = self._resolve_summary_options(
-            build_summaries, summary_options
+        summary_options = (
+            SummaryOptions(
+                track_keys=self.config.infer_keys,
+                pair_cap=self.config.key_pair_tracking_cap,
+            )
+            if build_summaries
+            else None
         )
         dedup_active = (
             signatures is not None
@@ -293,18 +288,6 @@ class PGHive:
             summary_options, exclude_record, key_indexes,
         )
 
-    def _resolve_summary_options(
-        self, build_summaries: bool, summary_options: SummaryOptions | None
-    ) -> SummaryOptions | None:
-        if not build_summaries:
-            return None
-        if summary_options is not None:
-            return summary_options
-        return SummaryOptions(
-            track_keys=self.config.infer_keys,
-            pair_cap=self.config.key_pair_tracking_cap,
-        )
-
     def _extract_and_tally(
         self,
         schema: SchemaGraph,
@@ -331,31 +314,24 @@ class PGHive:
         result.node_cluster_count += node_outcome.cluster_count
         result.edge_cluster_count += edge_outcome.cluster_count
 
-    def post_process(
-        self,
-        schema: SchemaGraph,
-        graph: PropertyGraph,
-        track_keys: bool | None = None,
-    ) -> SchemaGraph:
+    def post_process(self, schema: SchemaGraph, graph: PropertyGraph) -> SchemaGraph:
         """Steps (e)-(g): constraints, datatypes, cardinalities (+ keys).
 
         Full-scan variant: re-reads every instance's values from ``graph``.
-        Used by static discovery and as the equivalence oracle for the
-        streaming path below.  ``track_keys`` overrides
-        ``config.infer_keys`` (the session's per-session key flag).
+        It is the read of a union-retaining session after its first
+        deletion (the accumulators below only grow), and the tests'
+        oracle for the streaming read.
         """
         infer_property_constraints(schema)
-        infer_datatypes(schema, graph, self.config)
+        infer_datatypes(schema, graph)
         compute_cardinalities(schema, graph)
-        if self.config.infer_keys if track_keys is None else track_keys:
+        if self.config.infer_keys:
             from repro.core.key_inference import infer_keys
 
             infer_keys(schema, graph)
         return schema
 
-    def post_process_streaming(
-        self, schema: SchemaGraph, track_keys: bool | None = None
-    ) -> SchemaGraph:
+    def post_process_streaming(self, schema: SchemaGraph) -> SchemaGraph:
         """Steps (e)-(g) as pure reads over the per-type accumulators.
 
         O(|schema|) per call and independent of how many batches the
@@ -366,7 +342,7 @@ class PGHive:
         infer_property_constraints(schema)
         infer_datatypes_streaming(schema)
         compute_cardinalities_streaming(schema)
-        if self.config.infer_keys if track_keys is None else track_keys:
+        if self.config.infer_keys:
             from repro.core.key_inference import infer_keys_streaming
 
             infer_keys_streaming(schema)

@@ -259,8 +259,6 @@ class _DurableLog:
             "config": base.config,
             "schema_name": base.schema_name,
             "retain_union": base._retain_union,
-            "streaming_postprocess": base._streaming,
-            "track_keys": base._track_keys,
         }
 
     def _replay_wal(self) -> None:

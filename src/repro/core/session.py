@@ -1,12 +1,10 @@
 """`SchemaSession`: the long-lived change-feed façade over discovery.
 
-The paper's pipeline is exposed through several historical entry points
-(:meth:`~repro.core.pipeline.PGHive.discover`, ``discover_incremental``,
-:class:`~repro.core.maintenance.MaintainedSchema`).  This module unifies
-them: every one of those surfaces is now a thin adapter over one
-:class:`SchemaSession`, which models discovery the way PG-Schema frames
-schemas -- as first-class evolving objects driven by a stream of change
-operations:
+The paper's pipeline is exposed through two entry points
+(:meth:`~repro.core.pipeline.PGHive.discover` and ``discover_incremental``),
+both thin adapters over one :class:`SchemaSession`, which models discovery
+the way PG-Schema frames schemas -- as first-class evolving objects driven
+by a stream of change operations:
 
 * **Change feed** -- :meth:`SchemaSession.apply` consumes
   :class:`~repro.graph.changes.ChangeSet` bundles (node/edge inserts plus
@@ -16,7 +14,7 @@ operations:
 * **Snapshots** -- :meth:`schema` serves the schema at any point
   mid-stream.  Post-processing (constraints, datatypes, cardinalities,
   keys) runs lazily, only when the schema is dirty, and is cached until
-  the next write; on the streaming path each refresh is an O(|schema|)
+  the next write; until the first deletion each refresh is an O(|schema|)
   read over the per-type accumulators.
 * **Diff subscriptions** -- registered subscribers receive one
   :class:`DiffEvent` (a :class:`~repro.schema.diff.SchemaDiff` plus the
@@ -31,8 +29,8 @@ operations:
 Deletions break the insert-monotone guarantees of the streaming
 accumulators, so they are gated on a retained union graph
 (``retain_union``): the first applied deletion permanently switches
-post-processing to the full re-scan over the surviving union, exactly the
-semantics :class:`MaintainedSchema` always had.
+post-processing to the full re-scan over the surviving union
+(:meth:`~repro.core.pipeline.PGHive.post_process`).
 
 Since the sharded-discovery work every mutable artefact the session
 accumulates -- schema, accumulators, preprocessor, MinHash caches, union
@@ -54,7 +52,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.accumulators import SummaryOptions
 from repro.core.config import PGHiveConfig
 from repro.core.durability import read_artifact, write_artifact
 from repro.core.pipeline import DiscoveryResult, PGHive, PipelineState
@@ -81,8 +78,10 @@ from repro.util import Timer
 
 #: First line of every checkpoint file: magic token + format version (+
 #: payload digest and length since v2; see repro.core.durability).
+#: Version 3 dropped the per-session post-processing options, which
+#: follow the config.
 CHECKPOINT_MAGIC = b"pghive-session-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)  # no slots: checkpoints pickle these, and
@@ -143,10 +142,8 @@ def _diff_snapshot(schema: SchemaGraph) -> SchemaGraph:
 class SchemaSession:
     """One long-lived, observable, persistable discovery session.
 
-    ``retain_union``, ``streaming_postprocess``, and ``track_keys``
-    override the corresponding config fields for this session only (the
-    adapters use them to pin their historical semantics without mutating
-    the user's config object).
+    ``retain_union`` overrides ``config.retain_union`` for this session
+    only, without mutating the caller's config object.
     """
 
     def __init__(
@@ -155,34 +152,17 @@ class SchemaSession:
         schema_name: str = "session-schema",
         *,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
     ) -> None:
         self.config = config or PGHiveConfig()
         self.schema_name = schema_name
         self._retain_union = (
             self.config.retain_union if retain_union is None else retain_union
         )
-        self._streaming = (
-            self.config.streaming_postprocess
-            if streaming_postprocess is None
-            else streaming_postprocess
-        )
-        self._track_keys = (
-            self.config.infer_keys if track_keys is None else track_keys
-        )
-        if not self._streaming and not self._retain_union:
-            raise ConfigurationError(
-                "streaming_postprocess=False re-scans the union graph and "
-                "therefore requires retain_union=True"
-            )
         self._pipeline = PGHive(self.config)
         #: every mutable discovery artefact, as one mergeable value object.
         self._dstate = DiscoveryState.fresh(
             schema_name, retain_union=self._retain_union
         )
-        #: streaming reads stay valid until the first applied deletion.
-        self._dstate.streaming_valid = self._streaming
         self._timer = Timer()
         self._result = DiscoveryResult(
             schema=self._dstate.schema,
@@ -411,8 +391,7 @@ class SchemaSession:
 
         When the session retains a union graph (deletions enabled), the
         rows it lacks are also merged into the union as elements --
-        deletions stay element-wise by design.  An adopted union already
-        holds every row, so nothing is materialised for it.
+        deletions stay element-wise by design.
         """
         # The signature store keys refcounts by interner-local signature
         # ids; re-point it at the batch's interner (grow-only lineage, so
@@ -427,13 +406,7 @@ class SchemaSession:
             self._result,
             self._state,
             build_summaries=(
-                self._streaming
-                and self._streaming_valid
-                and self.config.post_processing
-            ),
-            summary_options=SummaryOptions(
-                track_keys=self._track_keys,
-                pair_cap=self.config.key_pair_tracking_cap,
+                self._streaming_valid and self.config.post_processing
             ),
             exclude_record=exclude_record,
             signatures=signatures,
@@ -450,21 +423,6 @@ class SchemaSession:
         # interner copy.
         self._dstate.interner = batch.interner
         self._dirty = True
-
-    def _adopt_union(self, graph: PropertyGraph) -> None:
-        """Adopt ``graph`` as the union by reference (no element copies).
-
-        One-shot static discovery applies exactly one batch and full-scans
-        it; merging that batch into an empty union would duplicate the
-        whole graph for nothing.  Only valid before the first change-set;
-        the caller guarantees the graph outlives the session.
-        """
-        if self._union is None or len(self._union) or self._sequence:
-            raise ConfigurationError(
-                "a union graph can only be adopted into a fresh "
-                "union-retaining session"
-            )
-        self._union = graph
 
     # ------------------------------------------------------------------
     # Deletions (gated on the retained union; see module docstring)
@@ -599,10 +557,15 @@ class SchemaSession:
         return self._schema
 
     def refresh(self) -> SchemaGraph:
-        """Force a post-processing pass now, regardless of the dirty flag."""
-        with self._timer.measure("postprocess"):
-            self._run_post_processing()
-        self._dirty = False
+        """Force a post-processing pass now, regardless of the dirty flag.
+
+        Like :meth:`schema`, it returns the raw schema when
+        ``config.post_processing`` is off: no summaries exist to read.
+        """
+        if self.config.post_processing:
+            with self._timer.measure("postprocess"):
+                self._run_post_processing()
+            self._dirty = False
         return self._schema
 
     def finalize(self) -> DiscoveryResult:
@@ -619,13 +582,9 @@ class SchemaSession:
 
     def _run_post_processing(self) -> None:
         if self._streaming_valid:
-            self._pipeline.post_process_streaming(
-                self._schema, track_keys=self._track_keys
-            )
+            self._pipeline.post_process_streaming(self._schema)
         else:
-            self._pipeline.post_process(
-                self._schema, self.union_graph, track_keys=self._track_keys
-            )
+            self._pipeline.post_process(self._schema, self.union_graph)
 
     # ------------------------------------------------------------------
     # Diff subscriptions
@@ -687,8 +646,6 @@ class SchemaSession:
         config: PGHiveConfig | None = None,
         *,
         schema_name: str | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
     ) -> "SchemaSession":
         """A session that continues from an existing :class:`DiscoveryState`.
 
@@ -704,8 +661,6 @@ class SchemaSession:
             config,
             schema_name=schema_name or state.schema.name,
             retain_union=state.union is not None,
-            streaming_postprocess=streaming_postprocess,
-            track_keys=track_keys,
         )
         session._adopt_state(state)
         return session
@@ -730,8 +685,6 @@ class SchemaSession:
             "config": self.config,
             "schema_name": self.schema_name,
             "retain_union": self._retain_union,
-            "streaming_postprocess": self._streaming,
-            "track_keys": self._track_keys,
             "streaming_valid": self._streaming_valid,
             "dirty": self._dirty,
             "sequence": self._sequence,
@@ -801,8 +754,6 @@ class SchemaSession:
             payload["config"],
             schema_name=payload["schema_name"],
             retain_union=payload["retain_union"],
-            streaming_postprocess=payload["streaming_postprocess"],
-            track_keys=payload["track_keys"],
         )
         interner = global_interner()
         snapshot = payload.get("interner")

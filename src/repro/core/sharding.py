@@ -102,10 +102,11 @@ from repro.graph.model import PropertyGraph
 from repro.schema.model import SchemaGraph
 
 #: First line of every sharded-checkpoint manifest (digest-framed; see
-#: repro.core.durability).  Version 3 stores every registry entry as a
-#: content-encoded record.
+#: repro.core.durability).  Registry entries are content-encoded records;
+#: version 4 dropped the per-session post-processing options, which
+#: follow the config.
 MANIFEST_MAGIC = b"pghive-sharded-checkpoint"
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 MANIFEST_NAME = "manifest.ckpt"
 
 #: Pending-replay length at which a parallel shard's state is fetched
@@ -163,14 +164,10 @@ class ShardFaultEvent:
 _WORKER_SESSION: SchemaSession | None = None
 
 
-def _worker_init(config, schema_name, retain_union, streaming, track_keys):
+def _worker_init(config, schema_name, retain_union):
     global _WORKER_SESSION
     _WORKER_SESSION = SchemaSession(
-        config,
-        schema_name=schema_name,
-        retain_union=retain_union,
-        streaming_postprocess=streaming,
-        track_keys=track_keys,
+        config, schema_name=schema_name, retain_union=retain_union
     )
 
 
@@ -207,9 +204,7 @@ def _worker_restore(path: str) -> int:
     return _WORKER_SESSION.sequence
 
 
-def _worker_adopt(
-    state: DiscoveryState, config, schema_name, streaming, track_keys
-) -> int:
+def _worker_adopt(state: DiscoveryState, config, schema_name) -> int:
     """Replace the worker's session with one resumed from ``state``.
 
     Pool-restart recovery ships the shard's last fetched state back into
@@ -218,11 +213,7 @@ def _worker_adopt(
     """
     global _WORKER_SESSION
     _WORKER_SESSION = SchemaSession.from_state(
-        state,
-        config,
-        schema_name=schema_name,
-        streaming_postprocess=streaming,
-        track_keys=track_keys,
+        state, config, schema_name=schema_name
     )
     return _WORKER_SESSION.sequence
 
@@ -284,10 +275,9 @@ class ShardedSchemaSession:
 
     Accepts the same change feed as :class:`SchemaSession` (``apply`` /
     ``add_batch``) and serves the same lazy :meth:`schema` snapshots;
-    ``retain_union``, ``streaming_postprocess``, and ``track_keys``
-    override config fields exactly as on the single session.  Use as a
-    context manager (or call :meth:`close`) when ``parallel=True`` so the
-    worker processes shut down deterministically.
+    ``retain_union`` overrides the config field exactly as on the single
+    session.  Use as a context manager (or call :meth:`close`) when
+    ``parallel=True`` so the worker processes shut down deterministically.
     """
 
     def __init__(
@@ -298,8 +288,6 @@ class ShardedSchemaSession:
         n_shards: int = 4,
         parallel: bool = False,
         retain_union: bool | None = None,
-        streaming_postprocess: bool | None = None,
-        track_keys: bool | None = None,
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
     ) -> None:
@@ -320,19 +308,6 @@ class ShardedSchemaSession:
         self._retain_union = (
             self.config.retain_union if retain_union is None else retain_union
         )
-        self._streaming = (
-            self.config.streaming_postprocess
-            if streaming_postprocess is None
-            else streaming_postprocess
-        )
-        self._track_keys = (
-            self.config.infer_keys if track_keys is None else track_keys
-        )
-        if not self._streaming and not self._retain_union:
-            raise ConfigurationError(
-                "streaming_postprocess=False re-scans the union graph and "
-                "therefore requires retain_union=True"
-            )
         # Shards must never flush post-processing themselves: specs stay
         # raw so the passes run once, over the merged state.
         self._shard_config = replace(self.config, post_process_each_batch=False)
@@ -400,8 +375,6 @@ class ShardedSchemaSession:
             self._shard_config,
             schema_name=f"{self.schema_name}-shard{index}",
             retain_union=self._retain_union,
-            streaming_postprocess=self._streaming,
-            track_keys=self._track_keys,
         )
 
     def _make_shard_pool(self, index: int) -> ProcessPoolExecutor:
@@ -412,8 +385,6 @@ class ShardedSchemaSession:
                 self._shard_config,
                 f"{self.schema_name}-shard{index}",
                 self._retain_union,
-                self._streaming,
-                self._track_keys,
             ),
         )
 
@@ -951,8 +922,6 @@ class ShardedSchemaSession:
                 baseline,
                 self._shard_config,
                 f"{self.schema_name}-shard{index}",
-                self._streaming,
-                self._track_keys,
             ).result()
         for part in self._pending[index]:
             self._apply_via_pool(pools[index], part)
@@ -990,8 +959,6 @@ class ShardedSchemaSession:
                 baseline.clone(),
                 self._shard_config,
                 schema_name=f"{self.schema_name}-shard{index}",
-                streaming_postprocess=self._streaming,
-                track_keys=self._track_keys,
             )
         for part in self._pending[index]:
             self._degraded_apply(session, part)
@@ -1071,10 +1038,8 @@ class ShardedSchemaSession:
 
     def _post_process(self, merged: DiscoveryState) -> None:
         pipeline = PGHive(self.config)
-        if self._streaming and merged.streaming_valid:
-            pipeline.post_process_streaming(
-                merged.schema, track_keys=self._track_keys
-            )
+        if merged.streaming_valid:
+            pipeline.post_process_streaming(merged.schema)
         else:
             if merged.union is None:
                 raise ConfigurationError(
@@ -1082,9 +1047,7 @@ class ShardedSchemaSession:
                     "graph; construct the sharded session with "
                     "retain_union=True"
                 )
-            pipeline.post_process(
-                merged.schema, merged.union, track_keys=self._track_keys
-            )
+            pipeline.post_process(merged.schema, merged.union)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (per-shard manifest format)
@@ -1139,8 +1102,6 @@ class ShardedSchemaSession:
             "n_shards": self.n_shards,
             "parallel": self.parallel,
             "retain_union": self._retain_union,
-            "streaming_postprocess": self._streaming,
-            "track_keys": self._track_keys,
             "sequence": self._sequence,
             # Registry records are encoded by content (labels, keys,
             # values): interner ids are process-local and would not
@@ -1195,8 +1156,6 @@ class ShardedSchemaSession:
             n_shards=payload["n_shards"],
             parallel=payload.get("parallel", False) if parallel is None else parallel,
             retain_union=payload["retain_union"],
-            streaming_postprocess=payload["streaming_postprocess"],
-            track_keys=payload["track_keys"],
         )
         session._sequence = payload["sequence"]
         interner = global_interner()

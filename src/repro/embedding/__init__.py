@@ -1,7 +1,6 @@
-"""Embedding substrate: Word2Vec from scratch plus label-corpus builders."""
+"""Embedding substrate: Word2Vec from scratch plus the label-corpus builder."""
 
-from repro.embedding.corpus import build_label_corpus
 from repro.embedding.vocab import Vocabulary
 from repro.embedding.word2vec import Word2Vec
 
-__all__ = ["Vocabulary", "Word2Vec", "build_label_corpus"]
+__all__ = ["Vocabulary", "Word2Vec"]

@@ -19,49 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.model import PropertyGraph
-
 if TYPE_CHECKING:
     from repro.graph.columnar import ElementBatch
-
-
-def build_label_corpus(
-    graph: PropertyGraph,
-    max_sentences: int | None = 50_000,
-    seed: int = 0,
-) -> list[list[str]]:
-    """Label-token sentences for ``graph``.
-
-    When the graph has more edges than ``max_sentences`` a uniform random
-    subsample (deterministic under ``seed``) keeps training time bounded;
-    the vocabulary still registers every node token via the single-token
-    sentences, so no label set loses its embedding.
-    """
-    sentences: list[list[str]] = []
-    seen_tokens: set[str] = set()
-    for node in graph.nodes():
-        token = node.token
-        if token and token not in seen_tokens:
-            seen_tokens.add(token)
-            sentences.append([token])
-
-    edge_sentences: list[list[str]] = []
-    for edge in graph.edges():
-        source_token = graph.node(edge.source_id).token
-        target_token = graph.node(edge.target_id).token
-        sentence = [t for t in (source_token, edge.token, target_token) if t]
-        if len(sentence) >= 2:
-            edge_sentences.append(sentence)
-        elif len(sentence) == 1 and sentence[0] not in seen_tokens:
-            seen_tokens.add(sentence[0])
-            sentences.append(sentence)
-
-    if max_sentences is not None and len(edge_sentences) > max_sentences:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(edge_sentences), size=max_sentences, replace=False)
-        edge_sentences = [edge_sentences[i] for i in sorted(chosen)]
-    sentences.extend(edge_sentences)
-    return sentences
 
 
 def build_label_corpus_columnar(
@@ -71,11 +30,15 @@ def build_label_corpus_columnar(
 ) -> list[list[str]]:
     """Label-token sentences for a columnar :class:`ElementBatch`.
 
-    Produces exactly the sentences :func:`build_label_corpus` yields for
-    the materialised batch (same order, same subsample), reading interned
+    When the batch has more edges than ``max_sentences`` a uniform random
+    subsample (deterministic under ``seed``) keeps training time bounded;
+    the vocabulary still registers every node token via the single-token
+    sentences, so no label set loses its embedding.  Reads interned
     token-id columns instead of walking element objects: node sentences
     come from the distinct token ids in first-appearance order, edge
     sentences from one object-array gather per endpoint column.
+    ``tests/seed_reference.py`` keeps the element-wise reference
+    (``build_label_corpus``).
     """
     interner = batch.interner
     sentences: list[list[str]] = []

@@ -14,8 +14,8 @@ def keyed(
     return mapping, tags
 
 
-class CountAccumulator:  # expect[PGL502]
-    """Bulk observe without an element-wise oracle, plus drifted merge."""
+class CountAccumulator:
+    """Drifted merge_from and copy signatures."""
 
     def __init__(self):
         self.counts = {}

@@ -12,9 +12,6 @@ class TestPGHiveConfig:
         assert config.theta == 0.9  # Algorithm 1 default
         assert config.method is ClusteringMethod.ELSH
         assert config.post_processing is True
-        assert config.datatype_sampling is False
-        assert config.datatype_sample_fraction == 0.1
-        assert config.datatype_min_sample == 1000
 
     @pytest.mark.parametrize("theta", [-0.1, 1.1])
     def test_invalid_theta(self, theta):
@@ -28,14 +25,6 @@ class TestPGHiveConfig:
     def test_invalid_label_weight(self):
         with pytest.raises(ConfigurationError):
             PGHiveConfig(label_weight=0)
-
-    def test_invalid_sample_fraction(self):
-        with pytest.raises(ConfigurationError):
-            PGHiveConfig(datatype_sample_fraction=0.0)
-
-    def test_invalid_min_sample(self):
-        with pytest.raises(ConfigurationError):
-            PGHiveConfig(datatype_min_sample=0)
 
     def test_invalid_band_size(self):
         with pytest.raises(ConfigurationError):

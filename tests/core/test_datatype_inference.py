@@ -57,17 +57,11 @@ class TestInferDatatypes:
         values = collect_property_values(figure1_graph, person, "gender", False)
         assert len(values) == 3  # ghost silently skipped
 
-    def test_sampling_mode_consistent_on_homogeneous_data(self, figure1_graph):
-        config = PGHiveConfig(seed=0, datatype_sampling=True, datatype_min_sample=2)
-        result = PGHive(config).discover(figure1_graph)
-        person = result.schema.node_type_by_token("Person")
-        assert person.properties["bday"].data_type is DataType.DATE
-
     def test_unvalued_property_defaults_to_string(self, figure1_graph):
         result = PGHive(PGHiveConfig(seed=0)).discover(figure1_graph)
         person = result.schema.node_type_by_token("Person")
         person.ensure_property("phantom")
-        infer_datatypes(result.schema, figure1_graph, PGHiveConfig(seed=0))
+        infer_datatypes(result.schema, figure1_graph)
         assert person.properties["phantom"].data_type is DataType.STRING
 
     def test_compatibility_guarantee(self, figure1_graph):

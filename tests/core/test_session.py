@@ -395,41 +395,14 @@ class TestStoreAttachment:
 
 
 class TestAdapterDelegation:
-    def test_maintained_schema_is_session_backed(self, figure1_graph):
-        from repro.core.maintenance import MaintainedSchema
-
-        maintained = MaintainedSchema(PGHiveConfig(seed=0))
-        assert isinstance(maintained.session, SchemaSession)
-        maintained.insert_batch(figure1_graph)
-        assert maintained.delete_nodes(["place"]) == 1
-
-    def test_discover_equals_session_full_scan(self, figure1_graph):
-        config = PGHiveConfig(seed=0)
+    def test_discover_equals_one_batch_session(self, figure1_graph):
+        config = PGHiveConfig(seed=0, infer_keys=True)
         result = PGHive(config).discover(figure1_graph)
         session = SchemaSession(
-            config,
-            schema_name=f"{figure1_graph.name}-schema",
-            retain_union=True,
-            streaming_postprocess=False,
+            config, schema_name=f"{figure1_graph.name}-schema"
         )
         session.add_batch(figure1_graph)
+        assert not session.retains_union
         assert schema_fingerprint(result.schema) == schema_fingerprint(
             session.schema()
         )
-
-    def test_oracle_mode_requires_union(self):
-        with pytest.raises(ConfigurationError):
-            SchemaSession(
-                PGHiveConfig(seed=0), streaming_postprocess=False
-            )
-
-    def test_adopted_union_is_not_copied(self, figure1_graph):
-        session = SchemaSession(
-            PGHiveConfig(seed=0), retain_union=True,
-            streaming_postprocess=False,
-        )
-        session._adopt_union(figure1_graph)
-        session.add_batch(figure1_graph)
-        assert session.union_graph is figure1_graph
-        with pytest.raises(ConfigurationError):
-            session._adopt_union(figure1_graph)  # no longer fresh

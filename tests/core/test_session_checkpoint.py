@@ -12,7 +12,7 @@ import pytest
 
 import repro.util
 from repro.core.config import ClusteringMethod, PGHiveConfig
-from repro.core.durability import payload_digest
+from repro.core.durability import payload_digest, write_artifact
 from repro.core.session import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -216,6 +216,18 @@ class TestFormat:
         legacy = tmp_path / "legacy.ckpt"
         legacy.write_bytes(CHECKPOINT_MAGIC + b" 1\n" + payload)
         with pytest.raises(CheckpointVersionError, match="version 1"):
+            SchemaSession.restore(legacy)
+
+    def test_refuses_v2_checkpoint(self, figure1_graph, tmp_path):
+        # v2 payloads carried per-session post-processing options, and one
+        # written with the full-scan option holds no accumulators: there
+        # is no decoder for them, whatever the payload.
+        session = SchemaSession(PGHiveConfig(seed=0))
+        session.add_batch(figure1_graph)
+        current = session.checkpoint(tmp_path / "v3.ckpt")
+        payload = current.read_bytes().split(b"\n", 1)[1]
+        legacy = write_artifact(tmp_path / "v2.ckpt", CHECKPOINT_MAGIC, 2, payload)
+        with pytest.raises(CheckpointVersionError, match="version 2"):
             SchemaSession.restore(legacy)
 
     def test_missing_file(self, tmp_path):

@@ -151,8 +151,6 @@ class TestShardedSession:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
             ShardedSchemaSession(n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedSchemaSession(streaming_postprocess=False)
         session = ShardedSchemaSession(n_shards=2)
         with pytest.raises(ConfigurationError):
             session.apply(ChangeSet.deletions(nodes=["v0"]))
@@ -301,7 +299,7 @@ class TestShardedCheckpoint:
             session.schema()
         )
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_refuses_older_manifest_versions(self, tmp_path, version):
         session = ShardedSchemaSession(PGHiveConfig(seed=5), n_shards=2)
         session.apply(feed(1)[0])

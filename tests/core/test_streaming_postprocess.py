@@ -5,8 +5,10 @@ full-scan post-processing results *bit for bit*: same datatypes, same
 cardinality bounds and classes, same mandatory/optional flags, same
 candidate keys -- on any insert stream, in any batch order, including the
 single-batch degenerate case.  The oracle is the pre-accumulator
-behaviour, still reachable via ``retain_union=True,
-streaming_postprocess=False``.
+behaviour: the full-scan ``PGHive.post_process`` over a union-retaining
+session's raw schema (``seed_reference.full_scan``).  The accumulator
+unit tests fold cells through the per-cell reference folds of
+``tests/seed_reference.py``.
 """
 
 import pytest
@@ -24,10 +26,21 @@ from repro.core.accumulators import (
 from repro.core.config import PGHiveConfig
 from repro.core.pipeline import PGHive
 from repro.core.session import SchemaSession
+from repro.datasets.registry import load_dataset
 from repro.errors import ConfigurationError, SchemaError
 from repro.graph.batching import split_into_batches
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.datatypes import DataType
+
+from tests.seed_reference import (
+    full_scan,
+    full_scan_session,
+    observe_datatype,
+    observe_distinct,
+    observe_endpoint,
+    observe_keys,
+    observe_summaries,
+)
 
 
 # ----------------------------------------------------------------------
@@ -36,21 +49,21 @@ from repro.schema.datatypes import DataType
 class TestDatatypeAccumulator:
     def test_folds_through_lattice(self):
         acc = DatatypeAccumulator()
-        acc.observe("x", 1)
+        observe_datatype(acc, "x", 1)
         assert acc.types["x"] is DataType.INTEGER
-        acc.observe("x", 2.5)
+        observe_datatype(acc, "x", 2.5)
         assert acc.types["x"] is DataType.FLOAT
-        acc.observe("x", "hello")
+        observe_datatype(acc, "x", "hello")
         assert acc.types["x"] is DataType.STRING
         # STRING is absorbing.
-        acc.observe("x", 3)
+        observe_datatype(acc, "x", 3)
         assert acc.types["x"] is DataType.STRING
 
     def test_merge_is_lattice_join(self):
         left, right = DatatypeAccumulator(), DatatypeAccumulator()
-        left.observe("a", 1)
-        right.observe("a", 2.5)
-        right.observe("b", "2024-03-09")
+        observe_datatype(left, "a", 1)
+        observe_datatype(right, "a", 2.5)
+        observe_datatype(right, "b", "2024-03-09")
         left.merge_from(right)
         assert left.types["a"] is DataType.FLOAT
         assert left.types["b"] is DataType.DATE
@@ -59,38 +72,38 @@ class TestDatatypeAccumulator:
         values = [1, 2.5, True, "2024-03-09", None, "text"]
         forward, backward = DatatypeAccumulator(), DatatypeAccumulator()
         for v in values:
-            forward.observe("k", v)
+            observe_datatype(forward, "k", v)
         for v in reversed(values):
-            backward.observe("k", v)
+            observe_datatype(backward, "k", v)
         assert forward.types == backward.types
 
 
 class TestEndpointAccumulator:
     def test_running_maxima(self):
         acc = EndpointAccumulator()
-        acc.observe("s1", "t1")
-        acc.observe("s1", "t2")
-        acc.observe("s2", "t1")
+        observe_endpoint(acc, "s1", "t1")
+        observe_endpoint(acc, "s1", "t2")
+        observe_endpoint(acc, "s2", "t1")
         bounds = acc.bounds()
         assert (bounds.max_out, bounds.max_in) == (2, 2)
 
     def test_duplicate_edges_do_not_inflate(self):
         acc = EndpointAccumulator()
-        acc.observe("s", "t")
-        acc.observe("s", "t")
+        observe_endpoint(acc, "s", "t")
+        observe_endpoint(acc, "s", "t")
         assert (acc.max_out, acc.max_in) == (1, 1)
 
     def test_merge_unions_endpoint_sets(self):
         left, right = EndpointAccumulator(), EndpointAccumulator()
-        left.observe("s", "t1")
-        right.observe("s", "t2")
-        right.observe("u", "t1")
+        observe_endpoint(left, "s", "t1")
+        observe_endpoint(right, "s", "t2")
+        observe_endpoint(right, "u", "t1")
         left.merge_from(right)
         assert (left.max_out, left.max_in) == (2, 2)
         # Shared (s, t1) on both sides stays one distinct endpoint.
         left2, right2 = EndpointAccumulator(), EndpointAccumulator()
-        left2.observe("s", "t1")
-        right2.observe("s", "t1")
+        observe_endpoint(left2, "s", "t1")
+        observe_endpoint(right2, "s", "t1")
         left2.merge_from(right2)
         assert (left2.max_out, left2.max_in) == (1, 1)
 
@@ -98,58 +111,58 @@ class TestEndpointAccumulator:
 class TestDistinctTracker:
     def test_detects_cross_instance_duplicates(self):
         tracker = DistinctTracker()
-        tracker.observe("v", "i1")
+        observe_distinct(tracker, "v", "i1")
         assert tracker.distinct
-        tracker.observe("v", "i2")
+        observe_distinct(tracker, "v", "i2")
         assert not tracker.distinct
 
     def test_merge_same_witness_is_not_a_duplicate(self):
         # The same instance replayed on both sides of a type merge must
         # not collapse the tracker (overlapping instance sets dedup).
         left, right = DistinctTracker(), DistinctTracker()
-        left.observe("v", "i1")
-        right.observe("v", "i1")
+        observe_distinct(left, "v", "i1")
+        observe_distinct(right, "v", "i1")
         left.merge_from(right)
         assert left.distinct
 
     def test_merge_cross_side_collision_is_a_duplicate(self):
         left, right = DistinctTracker(), DistinctTracker()
-        left.observe("v", "i1")
-        right.observe("v", "i2")
+        observe_distinct(left, "v", "i1")
+        observe_distinct(right, "v", "i2")
         left.merge_from(right)
         assert not left.distinct
 
     def test_duplicated_state_is_terminal_and_frees_memory(self):
         tracker = DistinctTracker()
-        tracker.observe("v", "i1")
-        tracker.observe("v", "i2")
+        observe_distinct(tracker, "v", "i1")
+        observe_distinct(tracker, "v", "i2")
         assert tracker.witnesses is None
-        tracker.observe("w", "i3")
+        observe_distinct(tracker, "w", "i3")
         assert not tracker.distinct
 
 
 class TestKeyAccumulator:
     def test_pairs_seeded_from_first_instance(self):
         acc = KeyAccumulator()
-        acc.observe("i1", {"a": 1, "b": 2, "c": 3})
+        observe_keys(acc, "i1", {"a": 1, "b": 2, "c": 3})
         assert set(acc.pairs) == {("a", "b"), ("a", "c"), ("b", "c")}
 
     def test_pair_dies_when_key_missing(self):
         acc = KeyAccumulator()
-        acc.observe("i1", {"a": 1, "b": 2})
-        acc.observe("i2", {"a": 2})
+        observe_keys(acc, "i1", {"a": 1, "b": 2})
+        observe_keys(acc, "i2", {"a": 2})
         assert acc.pairs == {}
 
     def test_pair_overflow_above_cap(self):
         acc = KeyAccumulator(pair_cap=2)
-        acc.observe("i1", {"a": 1, "b": 2, "c": 3})
+        observe_keys(acc, "i1", {"a": 1, "b": 2, "c": 3})
         assert acc.pair_overflow
         assert acc.pairs == {}
 
     def test_single_tracker_counts_cover_instances(self):
         acc = KeyAccumulator()
-        acc.observe("i1", {"a": 1})
-        acc.observe("i2", {"a": 2, "b": 1})
+        observe_keys(acc, "i1", {"a": 1})
+        observe_keys(acc, "i2", {"a": 2, "b": 1})
         assert acc.singles["a"].count == acc.instances == 2
         assert acc.singles["b"].count == 1  # absent on i1 -> not a key
 
@@ -159,17 +172,17 @@ class TestTypeSummariesMerge:
         options = SummaryOptions(track_keys=True)
         left = TypeSummaries(is_edge=False, options=options)
         right = TypeSummaries(is_edge=False)
-        left.observe("i1", {"a": 1})
-        right.observe("i2", {"a": 2})
+        observe_summaries(left, "i1", {"a": 1})
+        observe_summaries(right, "i2", {"a": 2})
         left.merge_from(right)
         assert left.keys is None  # unknown, never wrong
 
     def test_copy_is_independent(self):
         options = SummaryOptions(track_keys=True)
         original = TypeSummaries(is_edge=True, options=options)
-        original.observe("e1", {"w": 1}, endpoints=("s", "t"))
+        observe_summaries(original, "e1", {"w": 1}, endpoints=("s", "t"))
         clone = original.copy()
-        clone.observe("e2", {"w": 2}, endpoints=("s", "t2"))
+        observe_summaries(clone, "e2", {"w": 2}, endpoints=("s", "t2"))
         assert original.endpoints.max_out == 1
         assert clone.endpoints.max_out == 2
         assert original.keys.instances == 1
@@ -195,10 +208,6 @@ class TestUnionRetention:
             session.add_batch(batch)
         assert session.union_graph.node_count == figure1_graph.node_count
         assert session.union_graph.edge_count == figure1_graph.edge_count
-
-    def test_full_scan_mode_requires_union(self):
-        with pytest.raises(ConfigurationError):
-            PGHiveConfig(streaming_postprocess=False)
 
     def test_streaming_read_raises_without_summaries(self):
         from repro.core.datatype_inference import infer_datatypes_streaming
@@ -247,6 +256,17 @@ class TestUnionRetention:
             for t in (*session.schema_graph.node_types(), *session.schema_graph.edge_types())
         )
 
+    def test_refresh_honours_disabled_post_processing(self):
+        # No accumulators exist to read, so refresh() returns the raw
+        # schema like schema() and finalize() instead of raising.
+        graph = load_dataset("LDBC", nodes=100, seed=0).graph
+        session = SchemaSession(PGHiveConfig(seed=0, post_processing=False))
+        session.add_batch(graph)
+        schema = session.refresh()
+        assert schema is session.schema_graph
+        assert schema.node_type_by_token("Person") is not None
+        assert session.dirty
+
     def test_pair_overflow_warns_instead_of_silent_divergence(self):
         import warnings
 
@@ -262,7 +282,7 @@ class TestUnionRetention:
         for index in range(3):
             properties = {"a": 1, "b": 2, "c": 3}
             node_type.record_instance(f"i{index}", properties)
-            node_type.summaries.observe(f"i{index}", properties)
+            observe_summaries(node_type.summaries, f"i{index}", properties)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             from repro.core.constraints import infer_type_constraints
@@ -273,26 +293,46 @@ class TestUnionRetention:
         assert any("composite-key tracking overflowed" in str(w.message)
                    for w in caught)
 
-    def test_full_scan_runs_build_no_summaries(self, figure1_graph):
-        # Static discovery and the union-rescan oracle never read the
-        # accumulators, so they must not pay for building them.
-        static = PGHive(PGHiveConfig(seed=0, infer_keys=True)).discover(
-            figure1_graph
+
+class TestFlatStream:
+    def test_per_batch_reads_never_scan(self, monkeypatch):
+        # Every per-batch read is an O(|schema|) accumulator read: the
+        # full-scan passes, whose cost grows with the stream, never run.
+        import repro.core.cardinality_inference as cardinality_inference
+        import repro.core.datatype_inference as datatype_inference
+        import repro.core.key_inference as key_inference
+        import repro.core.pipeline as pipeline
+
+        def scan(*args, **kwargs):
+            raise AssertionError("a full scan ran on an insert-only stream")
+
+        for module, name in (
+            (pipeline, "infer_datatypes"),
+            (datatype_inference, "infer_datatypes"),
+            (pipeline, "compute_cardinalities"),
+            (cardinality_inference, "compute_cardinalities"),
+            (key_inference, "infer_keys"),
+        ):
+            monkeypatch.setattr(module, name, scan)
+        reads = []
+        streaming_read = PGHive.post_process_streaming
+
+        def counted(self, schema):
+            reads.append(schema.node_type_count + schema.edge_type_count)
+            return streaming_read(self, schema)
+
+        monkeypatch.setattr(PGHive, "post_process_streaming", counted)
+        graph = load_dataset("LDBC", nodes=300, seed=0).graph
+        config = PGHiveConfig(
+            seed=0, infer_keys=True, post_process_each_batch=True
         )
-        assert all(
-            t.summaries is None
-            for t in (*static.schema.node_types(), *static.schema.edge_types())
-        )
-        session = SchemaSession(
-            PGHiveConfig(seed=0, retain_union=True, streaming_postprocess=False)
-        )
-        for batch in split_into_batches(figure1_graph, 2, seed=1):
+        session = SchemaSession(config)
+        for batch in split_into_batches(graph, 12, seed=0):
             session.add_batch(batch)
         session.finalize()
-        assert all(
-            t.summaries is None
-            for t in (*session.schema_graph.node_types(), *session.schema_graph.edge_types())
-        )
+        assert not session.retains_union
+        assert len(reads) == 12
+        assert all(count > 0 for count in reads)
 
 
 # ----------------------------------------------------------------------
@@ -324,12 +364,19 @@ def _run_stream(batches, seed, **overrides):
     return session.schema_graph
 
 
+def _full_scan_stream(batches, seed, each_batch=False):
+    config = PGHiveConfig(seed=seed, infer_keys=True)
+    session = full_scan_session(config)
+    for batch in batches:
+        session.add_batch(batch)
+        if each_batch:
+            full_scan(session, config)
+    return full_scan(session, config)
+
+
 def _assert_equivalent(batches, seed):
     streaming = _run_stream(batches, seed)
-    oracle = _run_stream(
-        batches, seed, retain_union=True, streaming_postprocess=False
-    )
-    assert _snapshot(streaming) == _snapshot(oracle)
+    assert _snapshot(streaming) == _snapshot(_full_scan_stream(batches, seed))
 
 
 _VALUES = st.one_of(
@@ -403,13 +450,7 @@ class TestStreamingEquivalence:
     @given(batches=_streams(), seed=st.integers(min_value=0, max_value=9))
     def test_per_batch_postprocess_matches_oracle(self, batches, seed):
         streaming = _run_stream(batches, seed, post_process_each_batch=True)
-        oracle = _run_stream(
-            batches,
-            seed,
-            post_process_each_batch=True,
-            retain_union=True,
-            streaming_postprocess=False,
-        )
+        oracle = _full_scan_stream(batches, seed, each_batch=True)
         assert _snapshot(streaming) == _snapshot(oracle)
 
     def test_figure1_stream_matches_oracle(self, figure1_graph):
@@ -418,20 +459,10 @@ class TestStreamingEquivalence:
             _assert_equivalent(batches, seed=0)
 
     def test_single_batch_matches_static_full_scan(self, figure1_graph):
-        # Degenerate stream of one batch: the streaming session must agree
-        # with static discovery's full scan over the very same graph.
+        # Degenerate stream of one batch: static discovery (one add_batch,
+        # read from the accumulators) must agree with the full scan over
+        # the very same graph.
         config = PGHiveConfig(seed=0, infer_keys=True)
         static = PGHive(config).discover(figure1_graph)
-        streaming = _run_stream([figure1_graph], seed=0)
-        assert _snapshot(streaming) == _snapshot(static.schema)
-
-    def test_streaming_ignores_sampling_and_stays_exact(self, figure1_graph):
-        # Sampled datatype inference is a full-scan concession; the
-        # accumulators are exact by construction, so the streaming path
-        # matches the *exact* oracle even when sampling is configured.
-        batches = split_into_batches(figure1_graph, 2, seed=11)
-        sampled = _run_stream(batches, seed=0, datatype_sampling=True)
-        exact = _run_stream(
-            batches, seed=0, retain_union=True, streaming_postprocess=False
-        )
-        assert _snapshot(sampled) == _snapshot(exact)
+        oracle = _full_scan_stream([figure1_graph], seed=0)
+        assert _snapshot(static.schema) == _snapshot(oracle)

@@ -1,7 +1,12 @@
-"""Unit tests for the label-corpus builder."""
+"""Unit tests for the element-wise label-corpus reference.
 
-from repro.embedding.corpus import build_label_corpus
+``tests/properties/test_columnar_oracle.py`` holds the library's columnar
+builder to this reference sentence for sentence.
+"""
+
 from repro.graph.model import Edge, Node, PropertyGraph
+
+from tests.seed_reference import build_label_corpus
 
 
 class TestBuildLabelCorpus:

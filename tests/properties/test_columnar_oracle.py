@@ -13,9 +13,9 @@ layer and compared with the element-at-a-time restatement in
   per-element vectors and per-element token sets (same clusters, same
   order, same parameters, same representative patterns);
 * recording -- ``ColumnarCluster.record_into`` vs per-member
-  ``record_instance`` plus per-cell ``TypeSummaries.observe`` folds, into
-  fresh types and into one long-lived type per kind (replays and
-  carried-over summaries included).
+  ``record_instance`` plus per-cell ``seed_reference.observe_summaries``
+  folds, into fresh types and into one long-lived type per kind (replays
+  and carried-over summaries included).
 
 * row access -- ``value_rows``, ``node_record``/``edge_record`` and
   ``to_elements`` vs per-cell binary-search lookups, on batches from
@@ -45,7 +45,7 @@ from repro.core.shm import (
     encode_changeset_shm,
     shm_available,
 )
-from repro.embedding.corpus import build_label_corpus, build_label_corpus_columnar
+from repro.embedding.corpus import build_label_corpus_columnar
 from repro.graph.changes import ChangeSet, HashPartitioner
 from repro.graph.columnar import ElementBatch, Interner, partition_columnar
 from repro.graph.model import Edge, Node, PropertyGraph
@@ -247,9 +247,9 @@ def run_layer_oracle(resolved, config, options):
             graph.add_node(node)
         for edge in edges:
             graph.add_edge(edge)
-        assert build_label_corpus_columnar(batch, seed=3) == build_label_corpus(
-            graph, seed=3
-        )
+        assert build_label_corpus_columnar(
+            batch, seed=3
+        ) == seed_reference.build_label_corpus(graph, seed=3)
         if state["preprocessor"] is None:
             state["preprocessor"] = Preprocessor(config).fit_batch(batch)
         preprocessor = state["preprocessor"]

@@ -1,24 +1,26 @@
-"""Property-based equivalence: session change feed vs maintenance oracle.
+"""Property-based equivalence: session change feed vs full-recompute oracle.
 
 Interleaved insert/delete change-sets driven through a streaming
 :class:`SchemaSession` (which builds accumulators and falls back to the
 full re-scan only after the first deletion) must land on exactly the
-schema that the :class:`MaintainedSchema` surface -- always union-backed,
-always full-recompute -- produces for the same operation sequence.  The
-session additionally resolves edge endpoints from its union graph instead
-of requiring shipped stubs; the oracle receives classic stub-carrying
-batches, so the test also pins that the two ingestion paths agree.
+schema that a union-backed session read by full recompute
+(``seed_reference.full_scan``) produces for the same operation sequence.
+The session additionally resolves edge endpoints from its union graph
+instead of requiring shipped stubs; the oracle receives classic
+stub-carrying batches, so the test also pins that the two ingestion
+paths agree.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PGHiveConfig
-from repro.core.maintenance import MaintainedSchema
 from repro.core.session import SchemaSession
 from repro.graph.changes import ChangeSet
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import schema_fingerprint
+
+from tests.seed_reference import full_scan, full_scan_session
 
 LABELS = ["Person", "Org", "Post"]
 KEYS = ["name", "age", "url", "rank"]
@@ -120,9 +122,9 @@ def drive_session(resolved, config):
     return session.schema()
 
 
-def drive_maintained(resolved, config):
-    """Feed the script through the classic maintenance surface."""
-    maintained = MaintainedSchema(config, infer_key_constraints=config.infer_keys)
+def drive_full_scan(resolved, config):
+    """Feed the script as stub-carrying batches; read by full recompute."""
+    oracle = full_scan_session(config)
     known: dict[str, Node] = {}
     for op in resolved:
         if op[0] == "insert":
@@ -137,15 +139,15 @@ def drive_maintained(resolved, config):
                     if not batch.has_node(endpoint):
                         batch.add_node(known[endpoint])  # classic stub
                 batch.add_edge(Edge(edge_id, source, target, {"REL"}))
-            maintained.insert_batch(batch)
+            oracle.add_batch(batch)
         elif op[0] == "del_nodes":
-            maintained.delete_nodes(op[1])
+            oracle.apply(ChangeSet.deletions(nodes=op[1]))
         else:
-            maintained.delete_edges(op[1])
-    return maintained.refresh()
+            oracle.apply(ChangeSet.deletions(edges=op[1]))
+    return full_scan(oracle, config)
 
 
-class TestSessionMatchesMaintenanceOracle:
+class TestSessionMatchesFullRecomputeOracle:
     @given(ops=operation_scripts())
     @settings(
         max_examples=20,
@@ -156,7 +158,7 @@ class TestSessionMatchesMaintenanceOracle:
         resolved = interpret(ops)
         config = PGHiveConfig(seed=3, infer_keys=True)
         session_schema = drive_session(resolved, config)
-        oracle_schema = drive_maintained(resolved, config)
+        oracle_schema = drive_full_scan(resolved, config)
         assert schema_fingerprint(session_schema) == schema_fingerprint(
             oracle_schema
         )

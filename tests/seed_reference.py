@@ -14,25 +14,45 @@ the two layer by layer:
   then ELSH hashing every element's vector or MinHash over each
   element's own token set (signed from token strings, never from
   interned ids);
+* **corpus** (section 4.1) -- the Word2Vec label corpus walked element
+  by element over a property graph (:func:`build_label_corpus`);
 * **recording** (section 4.3) -- members attached one by one through
   ``record_instance`` and folded cell by cell through
-  :meth:`TypeSummaries.observe`;
+  :func:`observe_summaries`, the per-cell folds every columnar
+  accumulator method must equal;
 * **row access** -- one element's values looked up cell by cell, with a
   binary search of each key's value column (what every row-major reader
   of a batch must see through the block's cached row view);
 * **matching** (section 4.3) -- Algorithm 2's Jaccard rule for unlabeled
   clusters as a scan of every type in schema order, the oracle of the
-  indexed matcher (``tests/properties/test_jaccard_index_oracle.py``).
+  indexed matcher (``tests/properties/test_jaccard_index_oracle.py``);
+* **post-processing** (section 4.4) -- constraints, datatypes,
+  cardinalities and keys re-read from a retained union graph by
+  :meth:`PGHive.post_process` (:func:`full_scan_session` /
+  :func:`full_scan`), the oracle of the accumulator reads.
 
 Nothing here is optimised; it is test code, and slow on purpose.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 
 from repro.core import type_extraction
-from repro.core.accumulators import DEFAULT_OPTIONS, SummaryOptions, ensure_summaries
+from repro.core.accumulators import (
+    DEFAULT_OPTIONS,
+    DatatypeAccumulator,
+    DistinctTracker,
+    EndpointAccumulator,
+    KeyAccumulator,
+    SummaryOptions,
+    TypeSummaries,
+    ensure_summaries,
+    hashable_value,
+)
 from repro.core.adaptive import (
     MAX_DISTANCE_PAIRS,
     SAMPLE_FLOOR,
@@ -41,13 +61,16 @@ from repro.core.adaptive import (
     parameters_for_scale,
 )
 from repro.core.config import ClusteringMethod, PGHiveConfig
+from repro.core.pipeline import PGHive
+from repro.core.session import SchemaSession
 from repro.embedding.word2vec import Word2Vec
 from repro.graph.columnar import ColumnarElements, ElementBatch
-from repro.graph.model import Edge, Node
+from repro.graph.model import Edge, Node, PropertyGraph
 from repro.lsh.base import GroupingRule, group
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
-from repro.schema.model import EdgeType
+from repro.schema.datatypes import generalize, infer_value_type
+from repro.schema.model import EdgeType, SchemaGraph
 from repro.util import derive_seed, jaccard
 
 
@@ -130,6 +153,45 @@ def edge_token_set(edge: Edge, node_of: dict[str, Node]) -> frozenset[str]:
     if target_token:
         tokens.add(f"tgt:{target_token}")
     return frozenset(tokens)
+
+
+def build_label_corpus(
+    graph: PropertyGraph,
+    max_sentences: int | None = 50_000,
+    seed: int = 0,
+) -> list[list[str]]:
+    """Label-token sentences for ``graph``, walked element by element.
+
+    When the graph has more edges than ``max_sentences`` a uniform random
+    subsample (deterministic under ``seed``) keeps training time bounded;
+    the vocabulary still registers every node token via the single-token
+    sentences, so no label set loses its embedding.
+    """
+    sentences: list[list[str]] = []
+    seen_tokens: set[str] = set()
+    for node in graph.nodes():
+        token = node.token
+        if token and token not in seen_tokens:
+            seen_tokens.add(token)
+            sentences.append([token])
+
+    edge_sentences: list[list[str]] = []
+    for edge in graph.edges():
+        source_token = graph.node(edge.source_id).token
+        target_token = graph.node(edge.target_id).token
+        sentence = [t for t in (source_token, edge.token, target_token) if t]
+        if len(sentence) >= 2:
+            edge_sentences.append(sentence)
+        elif len(sentence) == 1 and sentence[0] not in seen_tokens:
+            seen_tokens.add(sentence[0])
+            sentences.append(sentence)
+
+    if max_sentences is not None and len(edge_sentences) > max_sentences:
+        rng = np.random.default_rng(seed)
+        chosen = rng.choice(len(edge_sentences), size=max_sentences, replace=False)
+        edge_sentences = [edge_sentences[i] for i in sorted(chosen)]
+    sentences.extend(edge_sentences)
+    return sentences
 
 
 def representative(
@@ -252,7 +314,80 @@ def record(
             schema_type.summaries = None
             continue
         endpoints = (member.source_id, member.target_id) if is_edge else None
-        summaries.observe(instance_id, member.properties, endpoints)
+        observe_summaries(summaries, instance_id, member.properties, endpoints)
+
+
+def observe_datatype(accumulator: DatatypeAccumulator, key: str, value) -> None:
+    """Fold one value into the lattice element of ``key``."""
+    current = accumulator.types.get(key)
+    value_type = infer_value_type(value)
+    accumulator.types[key] = (
+        value_type if current is None else generalize(current, value_type)
+    )
+
+
+def observe_endpoint(
+    accumulator: EndpointAccumulator, source_id: str, target_id: str
+) -> None:
+    """Fold one edge instance's endpoints, re-deriving both maxima."""
+    targets = accumulator.targets_per_source.setdefault(source_id, set())
+    targets.add(target_id)
+    accumulator.max_out = max(accumulator.max_out, len(targets))
+    sources = accumulator.sources_per_target.setdefault(target_id, set())
+    sources.add(source_id)
+    accumulator.max_in = max(accumulator.max_in, len(sources))
+
+
+def observe_distinct(tracker: DistinctTracker, value, instance_id: str) -> None:
+    """Fold one (value, instance) observation; a second witness is terminal."""
+    tracker.count += 1
+    if tracker.witnesses is None:
+        return
+    if tracker.witnesses.setdefault(value, instance_id) != instance_id:
+        tracker.witnesses = None
+
+
+def observe_keys(accumulator: KeyAccumulator, instance_id: str, properties) -> None:
+    """Fold one instance's property map into the key trackers.
+
+    The first instance seeds one pair tracker per pair of its keys (or
+    flags ``pair_overflow`` above the cap); a later instance missing
+    either key of a pair kills that pair.
+    """
+    first_instance = accumulator.instances == 0
+    accumulator.instances += 1
+    for key, value in properties.items():
+        tracker = accumulator.singles.setdefault(key, DistinctTracker())
+        observe_distinct(tracker, hashable_value(value), instance_id)
+    if first_instance:
+        keys = sorted(properties)
+        if len(keys) > accumulator.pair_cap:
+            accumulator.pair_overflow = True
+            return
+        for pair in combinations(keys, 2):
+            accumulator.pairs[pair] = DistinctTracker()
+    for pair in list(accumulator.pairs):
+        left, right = pair
+        if left in properties and right in properties:
+            value = (hashable_value(properties[left]), hashable_value(properties[right]))
+            observe_distinct(accumulator.pairs[pair], value, instance_id)
+        else:
+            del accumulator.pairs[pair]
+
+
+def observe_summaries(
+    summaries: TypeSummaries,
+    instance_id: str,
+    properties,
+    endpoints: tuple[str, str] | None = None,
+) -> None:
+    """Fold one newly recorded instance into every accumulator of a type."""
+    for key, value in properties.items():
+        observe_datatype(summaries.datatypes, key, value)
+    if summaries.endpoints is not None and endpoints is not None:
+        observe_endpoint(summaries.endpoints, *endpoints)
+    if summaries.keys is not None:
+        observe_keys(summaries.keys, instance_id, properties)
 
 
 def _tracker_state(tracker) -> tuple:
@@ -448,3 +583,21 @@ def linear_extract_edge_types(
         else:
             type_extraction._new_edge_type(schema, cluster, summary_options)
     return schema
+
+
+def full_scan_session(
+    config: PGHiveConfig, schema_name: str = "full-scan"
+) -> SchemaSession:
+    """A union-retaining session that builds no accumulators.
+
+    Its raw schema equals that of a session under ``config``; read it
+    with :func:`full_scan`.
+    """
+    return SchemaSession(
+        replace(config, post_processing=False, retain_union=True), schema_name
+    )
+
+
+def full_scan(session: SchemaSession, config: PGHiveConfig) -> SchemaGraph:
+    """Post-process ``session``'s raw schema by re-scanning its union."""
+    return PGHive(config).post_process(session.schema_graph, session.union_graph)
