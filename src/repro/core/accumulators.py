@@ -13,7 +13,7 @@ the post-processing passes become pure reads over O(|schema|) state:
   join-semilattice: the fold is associative, commutative, and idempotent,
   so results are batch-order invariant and replay-safe.
 * :class:`EndpointAccumulator` -- per edge type, the distinct targets per
-  source and sources per target, with running maxima, yielding the same
+  source and the in-degree per target, with running maxima, yielding the same
   :class:`~repro.schema.cardinality.CardinalityBounds` a full re-scan
   would produce.
 * :class:`KeyAccumulator` -- distinct-value/null trackers per property
@@ -38,8 +38,7 @@ where the columnar oracle compares the two.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
@@ -193,13 +192,22 @@ class DatatypeAccumulator:
 
 
 class EndpointAccumulator:
-    """Distinct-endpoint counters for one edge type, with running maxima."""
+    """Distinct-endpoint counters for one edge type, with running maxima.
 
-    __slots__ = ("targets_per_source", "sources_per_target", "max_out", "max_in")
+    ``targets_per_source`` holds the distinct targets of each source as
+    the insertion-ordered keys of a ``dict[str, None]``; ``in_degree``
+    counts the distinct sources of each target.  Maps that hold only
+    ``str``, ``None`` and ``int`` are never tracked by CPython's cyclic
+    collector, so this state -- one entry per distinct endpoint pair --
+    adds nothing to the objects a full collection or a checkpoint
+    unpickle walks.  No per-pair multiplicity is kept: no read uses one.
+    """
+
+    __slots__ = ("targets_per_source", "in_degree", "max_out", "max_in")
 
     def __init__(self) -> None:
-        self.targets_per_source: dict[str, set[str]] = {}
-        self.sources_per_target: dict[str, set[str]] = {}
+        self.targets_per_source: dict[str, dict[str, None]] = {}
+        self.in_degree: dict[str, int] = {}
         self.max_out = 0
         self.max_in = 0
 
@@ -209,36 +217,33 @@ class EndpointAccumulator:
         """Fold many edge endpoint pairs at once (columnar ingest path).
 
         Endpoint sets only grow, so the running maxima are
-        order-invariant; the per-pair bookkeeping is flattened into local
-        bindings (this is the hottest per-edge loop left on the columnar
-        path).
+        order-invariant.  A target's in-degree moves only when its pair
+        is new to the source's map.  The per-pair bookkeeping is
+        flattened into local bindings (this is the hottest per-edge loop
+        left on the columnar path).
         """
         targets_per_source = self.targets_per_source
-        sources_per_target = self.sources_per_target
+        in_degree = self.in_degree
         max_out, max_in = self.max_out, self.max_in
         get_targets = targets_per_source.get
-        get_sources = sources_per_target.get
+        get_degree = in_degree.get
         for source_id, target_id in zip(source_ids, target_ids):
             targets = get_targets(source_id)
             if targets is None:
-                targets_per_source[source_id] = {target_id}
+                targets_per_source[source_id] = {target_id: None}
                 if max_out < 1:
                     max_out = 1
+            elif target_id in targets:
+                continue
             else:
-                targets.add(target_id)
+                targets[target_id] = None
                 size = len(targets)
                 if size > max_out:
                     max_out = size
-            sources = get_sources(target_id)
-            if sources is None:
-                sources_per_target[target_id] = {source_id}
-                if max_in < 1:
-                    max_in = 1
-            else:
-                sources.add(source_id)
-                size = len(sources)
-                if size > max_in:
-                    max_in = size
+            degree = get_degree(target_id, 0) + 1
+            in_degree[target_id] = degree
+            if degree > max_in:
+                max_in = degree
         self.max_out, self.max_in = max_out, max_in
 
     def observe_repeat(
@@ -254,17 +259,19 @@ class EndpointAccumulator:
         self.observe_pairs(source_ids, target_ids)
 
     def merge_from(self, other: "EndpointAccumulator") -> None:
-        """Union endpoint sets and re-establish the maxima."""
-        for source_id, targets in other.targets_per_source.items():
-            mine = self.targets_per_source.setdefault(source_id, set())
-            mine |= targets
-            if len(mine) > self.max_out:
-                self.max_out = len(mine)
-        for target_id, sources in other.sources_per_target.items():
-            mine = self.sources_per_target.setdefault(target_id, set())
-            mine |= sources
-            if len(mine) > self.max_in:
-                self.max_in = len(mine)
+        """Union the distinct pairs and re-establish the maxima."""
+        in_degree = self.in_degree
+        max_out, max_in = self.max_out, self.max_in
+        for source_id, theirs in other.targets_per_source.items():
+            mine = self.targets_per_source.setdefault(source_id, {})
+            added = [target_id for target_id in theirs if target_id not in mine]
+            mine.update(dict.fromkeys(added))
+            max_out = max(max_out, len(mine))
+            for target_id in added:
+                degree = in_degree.get(target_id, 0) + 1
+                in_degree[target_id] = degree
+                max_in = max(max_in, degree)
+        self.max_out, self.max_in = max_out, max_in
 
     def bounds(self) -> CardinalityBounds:
         """The (max-out, max-in) pair a full endpoint re-scan would yield."""
@@ -273,11 +280,9 @@ class EndpointAccumulator:
     def copy(self) -> "EndpointAccumulator":
         clone = EndpointAccumulator()
         clone.targets_per_source = {
-            k: set(v) for k, v in self.targets_per_source.items()
+            k: dict(v) for k, v in self.targets_per_source.items()
         }
-        clone.sources_per_target = {
-            k: set(v) for k, v in self.sources_per_target.items()
-        }
+        clone.in_degree = dict(self.in_degree)
         clone.max_out = self.max_out
         clone.max_in = self.max_in
         return clone

@@ -27,21 +27,29 @@ def bounds_for_edge_type(
     graph: PropertyGraph, edge_type: EdgeType
 ) -> CardinalityBounds:
     """Compute (max-out, max-in) distinct-endpoint counts for one type."""
-    targets_per_source: dict[str, set[str]] = defaultdict(set)
-    sources_per_target: dict[str, set[str]] = defaultdict(set)
+    targets_by_source: dict[str, set[str]] = defaultdict(set)
+    sources_by_target: dict[str, set[str]] = defaultdict(set)
     for instance_id in edge_type.instance_ids:
         if not graph.has_edge(instance_id):
             continue
         edge = graph.edge(instance_id)
-        targets_per_source[edge.source_id].add(edge.target_id)
-        sources_per_target[edge.target_id].add(edge.source_id)
-    max_out = max((len(v) for v in targets_per_source.values()), default=0)
-    max_in = max((len(v) for v in sources_per_target.values()), default=0)
+        targets_by_source[edge.source_id].add(edge.target_id)
+        sources_by_target[edge.target_id].add(edge.source_id)
+    max_out = max((len(v) for v in targets_by_source.values()), default=0)
+    max_in = max((len(v) for v in sources_by_target.values()), default=0)
     return CardinalityBounds(max_out, max_in)
 
 
 def compute_cardinalities(schema: SchemaGraph, graph: PropertyGraph) -> SchemaGraph:
-    """Fill cardinality bounds and classes for every edge type."""
+    """Fill cardinality bounds and classes for every edge type (full scan).
+
+    Recounts every instance's endpoints over the retained ``graph`` with
+    plain per-endpoint sets.  This is the independent reference of the
+    streaming read: it shares no state or layout with
+    :class:`~repro.core.accumulators.EndpointAccumulator`, and it runs
+    only where the accumulators cannot answer (after a deletion on a
+    union-retaining session).
+    """
     for edge_type in schema.edge_types():
         bounds = bounds_for_edge_type(graph, edge_type)
         edge_type.cardinality_bounds = bounds
@@ -53,9 +61,10 @@ def compute_cardinalities_streaming(schema: SchemaGraph) -> SchemaGraph:
     """Fill cardinality bounds from the per-type endpoint accumulators.
 
     The :class:`~repro.core.accumulators.EndpointAccumulator` maintains
-    the distinct-endpoint sets and their maxima per batch, so this read is
-    O(|schema|) -- the maxima equal what :func:`bounds_for_edge_type`
-    would recount over the cumulative union graph.
+    the distinct targets per source, the in-degree per target and their
+    maxima per batch, so this read is O(|schema|) -- the maxima equal
+    what :func:`bounds_for_edge_type` would recount over the cumulative
+    union graph.
     """
     for edge_type in schema.edge_types():
         summaries = edge_type.summaries

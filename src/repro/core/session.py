@@ -79,9 +79,10 @@ from repro.util import Timer
 #: First line of every checkpoint file: magic token + format version (+
 #: payload digest and length since v2; see repro.core.durability).
 #: Version 3 dropped the per-session post-processing options, which
-#: follow the config.
+#: follow the config; version 4 keeps endpoint summaries as per-source
+#: target maps plus in-degrees instead of per-endpoint sets.
 CHECKPOINT_MAGIC = b"pghive-session-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)  # no slots: checkpoints pickle these, and

@@ -1,9 +1,12 @@
 """Unit tests for the LSH clustering step (section 4.2)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import adaptive, pipeline
-from repro.core.clustering import cluster_features_columnar
+from repro.core.clustering import _distinct_rows, cluster_features_columnar
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.preprocess import Preprocessor
 from repro.core.session import SchemaSession
@@ -187,3 +190,34 @@ class TestDistinctPatternWork:
         assert seen["hashed"] == seen["patterns"]
         assert seen["paired"] == all_pairs
         assert sum(seen["patterns"]) < 0.5 * sum(seen["rows"])
+
+
+@st.composite
+def id_columns(draw):
+    """3 or 5 aligned non-negative ``intp`` columns, 1-300 rows, many repeats."""
+    width = draw(st.sampled_from([3, 5]))
+    rows = draw(st.integers(1, 300))
+    spans = draw(st.lists(st.integers(1, 4), min_size=width, max_size=width))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return tuple(
+        rng.integers(0, span, rows).astype(np.intp) * draw(st.sampled_from([1, 997]))
+        for span in spans
+    )
+
+
+class TestDistinctRows:
+    @given(columns=id_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique_over_rows(self, columns):
+        distinct, first_rows, inverse = np.unique(
+            np.stack(columns, axis=1),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+        )
+        got = _distinct_rows(columns)
+        expected = (distinct, first_rows, np.asarray(inverse).reshape(-1))
+        for actual, oracle in zip(got, expected, strict=True):
+            assert actual.dtype == oracle.dtype
+            assert np.array_equal(actual, oracle)

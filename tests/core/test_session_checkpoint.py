@@ -218,16 +218,22 @@ class TestFormat:
         with pytest.raises(CheckpointVersionError, match="version 1"):
             SchemaSession.restore(legacy)
 
-    def test_refuses_v2_checkpoint(self, figure1_graph, tmp_path):
-        # v2 payloads carried per-session post-processing options, and one
-        # written with the full-scan option holds no accumulators: there
-        # is no decoder for them, whatever the payload.
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_refuses_older_checkpoint_versions(
+        self, figure1_graph, tmp_path, version
+    ):
+        # v2 payloads carried per-session post-processing options (one
+        # written with the full-scan option holds no accumulators); v3
+        # payloads hold endpoint summaries as per-endpoint sets.  There
+        # is no decoder for either, whatever the payload.
         session = SchemaSession(PGHiveConfig(seed=0))
         session.add_batch(figure1_graph)
-        current = session.checkpoint(tmp_path / "v3.ckpt")
+        current = session.checkpoint(tmp_path / "current.ckpt")
         payload = current.read_bytes().split(b"\n", 1)[1]
-        legacy = write_artifact(tmp_path / "v2.ckpt", CHECKPOINT_MAGIC, 2, payload)
-        with pytest.raises(CheckpointVersionError, match="version 2"):
+        legacy = write_artifact(
+            tmp_path / f"v{version}.ckpt", CHECKPOINT_MAGIC, version, payload
+        )
+        with pytest.raises(CheckpointVersionError, match=f"version {version}"):
             SchemaSession.restore(legacy)
 
     def test_missing_file(self, tmp_path):

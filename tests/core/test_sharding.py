@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.durability import write_artifact
-from repro.core.session import SchemaSession
+from repro.core.session import CHECKPOINT_MAGIC, SchemaSession
 from repro.core.sharding import (
     MANIFEST_MAGIC,
     MANIFEST_NAME,
@@ -311,6 +311,19 @@ class TestShardedCheckpoint:
         else:
             write_artifact(manifest, MANIFEST_MAGIC, version, payload)
         with pytest.raises(CheckpointVersionError, match=f"version {version}"):
+            ShardedSchemaSession.restore(directory)
+
+    def test_refuses_shard_files_of_an_older_session_version(self, tmp_path):
+        # The manifest is current, but a shard file is a session
+        # checkpoint of the version before the endpoint-summary layout
+        # change: restoring must fail typed, not as a corrupt payload.
+        session = ShardedSchemaSession(PGHiveConfig(seed=5), n_shards=2)
+        session.apply(feed(1)[0])
+        directory = session.checkpoint(tmp_path / "ck")
+        for shard in sorted(directory.glob("shard-*.ckpt")):
+            payload = shard.read_bytes().split(b"\n", 1)[1]
+            write_artifact(shard, CHECKPOINT_MAGIC, 3, payload)
+        with pytest.raises(CheckpointVersionError, match="version 3"):
             ShardedSchemaSession.restore(directory)
 
     def test_manifest_validation(self, tmp_path):

@@ -11,6 +11,8 @@ unit tests fold cells through the per-cell reference folds of
 ``tests/seed_reference.py``.
 """
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,8 @@ from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.datatypes import DataType
 
 from tests.seed_reference import (
+    ReferenceEndpoints,
+    endpoint_state,
     full_scan,
     full_scan_session,
     observe_datatype,
@@ -78,34 +82,98 @@ class TestDatatypeAccumulator:
         assert forward.types == backward.types
 
 
+def fold_endpoints(pairs):
+    """The accumulator and the set-based reference over the same pairs."""
+    accumulator, reference = EndpointAccumulator(), ReferenceEndpoints()
+    for source_id, target_id in pairs:
+        accumulator.observe_pairs([source_id], [target_id])
+        observe_endpoint(reference, source_id, target_id)
+    assert endpoint_state(accumulator) == endpoint_state(reference)
+    return accumulator, reference
+
+
 class TestEndpointAccumulator:
     def test_running_maxima(self):
-        acc = EndpointAccumulator()
-        observe_endpoint(acc, "s1", "t1")
-        observe_endpoint(acc, "s1", "t2")
-        observe_endpoint(acc, "s2", "t1")
+        acc, _ = fold_endpoints([("s1", "t1"), ("s1", "t2"), ("s2", "t1")])
         bounds = acc.bounds()
         assert (bounds.max_out, bounds.max_in) == (2, 2)
+        assert acc.in_degree == {"t1": 2, "t2": 1}
 
     def test_duplicate_edges_do_not_inflate(self):
-        acc = EndpointAccumulator()
-        observe_endpoint(acc, "s", "t")
-        observe_endpoint(acc, "s", "t")
+        acc, _ = fold_endpoints([("s", "t"), ("s", "t")])
         assert (acc.max_out, acc.max_in) == (1, 1)
+        assert acc.in_degree == {"t": 1}
 
     def test_merge_unions_endpoint_sets(self):
-        left, right = EndpointAccumulator(), EndpointAccumulator()
-        observe_endpoint(left, "s", "t1")
-        observe_endpoint(right, "s", "t2")
-        observe_endpoint(right, "u", "t1")
+        left, left_reference = fold_endpoints([("s", "t1")])
+        right, right_reference = fold_endpoints([("s", "t2"), ("u", "t1")])
         left.merge_from(right)
+        left_reference.merge_from(right_reference)
+        assert endpoint_state(left) == endpoint_state(left_reference)
         assert (left.max_out, left.max_in) == (2, 2)
-        # Shared (s, t1) on both sides stays one distinct endpoint.
-        left2, right2 = EndpointAccumulator(), EndpointAccumulator()
-        observe_endpoint(left2, "s", "t1")
-        observe_endpoint(right2, "s", "t1")
+        # Shared (s, t1) on both sides stays one distinct endpoint pair.
+        left2, _ = fold_endpoints([("s", "t1")])
+        right2, _ = fold_endpoints([("s", "t1")])
         left2.merge_from(right2)
-        assert (left2.max_out, left2.max_in) == (1, 1)
+        assert endpoint_state(left2) == ({("s", "t1")}, {"t1": 1}, 1, 1)
+
+
+ENDPOINT_IDS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def split_points(draw, length, max_cuts):
+    """Sorted cut positions splitting ``length`` items into pieces."""
+    return sorted(draw(st.lists(st.integers(0, length), max_size=max_cuts)))
+
+
+def pieces(items, cuts):
+    return [items[i:j] for i, j in zip([0, *cuts], [*cuts, len(items)])]
+
+
+class TestEndpointAccumulatorOracle:
+    """Chunking, merge trees, copies and pickles all equal the reference."""
+
+    @given(
+        pairs=st.lists(st.tuples(ENDPOINT_IDS, ENDPOINT_IDS), max_size=60),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_fold_order_equals_reference(self, pairs, data):
+        reference = ReferenceEndpoints()
+        for source_id, target_id in pairs:
+            observe_endpoint(reference, source_id, target_id)
+        expected = endpoint_state(reference)
+
+        parts = []
+        for part in pieces(pairs, data.draw(split_points(len(pairs), 5))):
+            accumulator = EndpointAccumulator()
+            for chunk in pieces(part, data.draw(split_points(len(part), 4))):
+                fold = data.draw(
+                    st.sampled_from(
+                        [accumulator.observe_pairs, accumulator.observe_repeat]
+                    )
+                )
+                fold([s for s, _ in chunk], [t for _, t in chunk])
+            parts.append(accumulator)
+        while len(parts) > 1:
+            index = data.draw(st.integers(0, len(parts) - 2))
+            left, right = parts[index], parts.pop(index + 1)
+            if data.draw(st.booleans()):
+                left, right = right, left
+            carrier = data.draw(st.sampled_from(["direct", "copy", "pickle"]))
+            if carrier == "copy":
+                left = left.copy()
+            elif carrier == "pickle":
+                right = pickle.loads(pickle.dumps(right))
+            left.merge_from(right)
+            parts[index] = left
+        (merged,) = parts
+
+        assert endpoint_state(merged) == expected
+        assert merged.bounds() == reference.bounds()
+        assert endpoint_state(merged.copy()) == expected
+        assert endpoint_state(pickle.loads(pickle.dumps(merged))) == expected
 
 
 class TestDistinctTracker:
@@ -180,11 +248,18 @@ class TestTypeSummariesMerge:
     def test_copy_is_independent(self):
         options = SummaryOptions(track_keys=True)
         original = TypeSummaries(is_edge=True, options=options)
-        observe_summaries(original, "e1", {"w": 1}, endpoints=("s", "t"))
+        observe_summaries(original, "e1", {"w": 1})
+        original.endpoints.observe_pairs(["s"], ["t"])
         clone = original.copy()
-        observe_summaries(clone, "e2", {"w": 2}, endpoints=("s", "t2"))
-        assert original.endpoints.max_out == 1
-        assert clone.endpoints.max_out == 2
+        observe_summaries(clone, "e2", {"w": 2})
+        clone.endpoints.observe_pairs(["s", "u"], ["t2", "t2"])
+        assert endpoint_state(original.endpoints) == ({("s", "t")}, {"t": 1}, 1, 1)
+        assert endpoint_state(clone.endpoints) == (
+            {("s", "t"), ("s", "t2"), ("u", "t2")},
+            {"t": 1, "t2": 2},
+            2,
+            2,
+        )
         assert original.keys.instances == 1
 
 

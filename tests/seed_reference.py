@@ -69,6 +69,7 @@ from repro.graph.model import Edge, Node, PropertyGraph
 from repro.lsh.base import GroupingRule, group
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
+from repro.schema.cardinality import CardinalityBounds
 from repro.schema.datatypes import generalize, infer_value_type
 from repro.schema.model import EdgeType, SchemaGraph
 from repro.util import derive_seed, jaccard
@@ -326,16 +327,57 @@ def observe_datatype(accumulator: DatatypeAccumulator, key: str, value) -> None:
     )
 
 
+class ReferenceEndpoints:
+    """Set-based endpoint state: distinct targets per source and sources
+    per target, with maxima re-derived on every fold.
+
+    It shares no layout with :class:`EndpointAccumulator`: the reference
+    fold swaps it in for a type's accumulator, and :func:`endpoint_state`
+    reduces either one to the same canonical form.
+    """
+
+    def __init__(self) -> None:
+        self.targets_per_source: dict[str, set[str]] = {}
+        self.sources_per_target: dict[str, set[str]] = {}
+        self.max_out = 0
+        self.max_in = 0
+
+    def merge_from(self, other: ReferenceEndpoints) -> None:
+        for source_id, targets in other.targets_per_source.items():
+            for target_id in targets:
+                observe_endpoint(self, source_id, target_id)
+
+    def bounds(self) -> CardinalityBounds:
+        return CardinalityBounds(self.max_out, self.max_in)
+
+
 def observe_endpoint(
-    accumulator: EndpointAccumulator, source_id: str, target_id: str
+    reference: ReferenceEndpoints, source_id: str, target_id: str
 ) -> None:
     """Fold one edge instance's endpoints, re-deriving both maxima."""
-    targets = accumulator.targets_per_source.setdefault(source_id, set())
+    targets = reference.targets_per_source.setdefault(source_id, set())
     targets.add(target_id)
-    accumulator.max_out = max(accumulator.max_out, len(targets))
-    sources = accumulator.sources_per_target.setdefault(target_id, set())
+    reference.max_out = max(reference.max_out, len(targets))
+    sources = reference.sources_per_target.setdefault(target_id, set())
     sources.add(source_id)
-    accumulator.max_in = max(accumulator.max_in, len(sources))
+    reference.max_in = max(reference.max_in, len(sources))
+
+
+def endpoint_state(endpoints: EndpointAccumulator | ReferenceEndpoints) -> tuple:
+    """Canonical endpoint state: distinct pairs, in-degrees, both maxima."""
+    pairs = {
+        (source_id, target_id)
+        for source_id, targets in endpoints.targets_per_source.items()
+        for target_id in targets
+    }
+    if isinstance(endpoints, ReferenceEndpoints):
+        in_degree = {
+            target_id: len(sources)
+            for target_id, sources in endpoints.sources_per_target.items()
+        }
+    else:
+        in_degree = dict(endpoints.in_degree)
+    return pairs, in_degree, endpoints.max_out, endpoints.max_in
 
 
 def observe_distinct(tracker: DistinctTracker, value, instance_id: str) -> None:
@@ -385,6 +427,10 @@ def observe_summaries(
     for key, value in properties.items():
         observe_datatype(summaries.datatypes, key, value)
     if summaries.endpoints is not None and endpoints is not None:
+        if isinstance(summaries.endpoints, EndpointAccumulator):
+            reference = ReferenceEndpoints()
+            reference.merge_from(summaries.endpoints)
+            summaries.endpoints = reference
         observe_endpoint(summaries.endpoints, *endpoints)
     if summaries.keys is not None:
         observe_keys(summaries.keys, instance_id, properties)
@@ -415,14 +461,7 @@ def type_state(schema_type) -> dict:
     keys = summaries.keys
     state["summaries"] = {
         "datatypes": dict(summaries.datatypes.types),
-        "endpoints": None
-        if endpoints is None
-        else (
-            endpoints.targets_per_source,
-            endpoints.sources_per_target,
-            endpoints.max_out,
-            endpoints.max_in,
-        ),
+        "endpoints": None if endpoints is None else endpoint_state(endpoints),
         "keys": None
         if keys is None
         else (
