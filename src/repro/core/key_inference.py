@@ -140,12 +140,10 @@ def infer_keys_streaming(schema: SchemaGraph) -> SchemaGraph:
     """Fill ``type.candidate_keys`` from the streaming accumulators."""
     for node_type in schema.node_types():
         node_type.candidate_keys = candidate_keys_from_summaries(node_type)
-        for (key,) in (k for k in node_type.candidate_keys if len(k) == 1):
-            node_type.properties[key].unique = True
+        _mark_unique(node_type)
     for edge_type in schema.edge_types():
         edge_type.candidate_keys = candidate_keys_from_summaries(edge_type)
-        for (key,) in (k for k in edge_type.candidate_keys if len(k) == 1):
-            edge_type.properties[key].unique = True
+        _mark_unique(edge_type)
     return schema
 
 
@@ -155,15 +153,25 @@ def infer_keys(schema: SchemaGraph, graph: PropertyGraph) -> SchemaGraph:
         node_type.candidate_keys = candidate_keys_for_type(
             graph, node_type, is_edge=False
         )
-        for (key,) in (k for k in node_type.candidate_keys if len(k) == 1):
-            node_type.properties[key].unique = True
+        _mark_unique(node_type)
     for edge_type in schema.edge_types():
         edge_type.candidate_keys = candidate_keys_for_type(
             graph, edge_type, is_edge=True
         )
-        for (key,) in (k for k in edge_type.candidate_keys if len(k) == 1):
-            edge_type.properties[key].unique = True
+        _mark_unique(edge_type)
     return schema
+
+
+def _mark_unique(schema_type: NodeType | EdgeType) -> None:
+    """Flag exactly the singleton candidate keys ``unique``.
+
+    A flag left by an earlier read is cleared when its key no longer
+    holds (a duplicate value arrived, or deletions left too few
+    instances), so a read does not depend on which reads came before.
+    """
+    singles = {key[0] for key in schema_type.candidate_keys if len(key) == 1}
+    for key, spec in schema_type.properties.items():
+        spec.unique = True if key in singles else None
 
 
 def to_pg_keys(schema: SchemaGraph) -> str:

@@ -451,8 +451,10 @@ class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
         self._shards = base._shards
         self._pools = base._pools
         self._shard_states = base._shard_states
+        self._shard_views = base._shard_views
         self._shard_dirty = base._shard_dirty
-        self._merged_state = base._merged_state
+        self._merged_schema = base._merged_schema
+        self._union = base._union
         self._pending = base._pending
         self._degraded = base._degraded
         base._pools = None

@@ -25,31 +25,44 @@ state, combine on read -- applied to PG-HIVE:
   ``parallel=True`` -- each shard gets a dedicated single-worker
   ``ProcessPoolExecutor`` so its session lives in a pinned OS process and
   change-sets for different shards are ingested concurrently.
-* :meth:`schema` merges the per-shard
-  :class:`~repro.core.state.DiscoveryState` values through
-  ``DiscoveryState.merged`` and post-processes the combined schema
-  (streaming-accumulator reads, or a full scan of the merged union once
-  any deletion occurred).  Dirty tracking makes the read lazy: states of
-  untouched shards are served from the parent's snapshot cache instead of
-  being re-fetched (in parallel mode a fetch is a pickle round-trip), and
-  a read on a quiet feed returns the cached merged schema outright.
+* **Merged reads and determinism.** :meth:`schema` fetches one
+  :class:`ShardView` per dirty shard -- its instance-bearing schema
+  (accumulators attached while streaming reads are valid), its
+  ``streaming_valid`` flag and its stream position; no union graph,
+  interner, signature store or pipeline cache crosses the process
+  boundary on a read.  The views fold in shard order
+  (:func:`~repro.core.state.merged_schema`) and the merged schema is
+  post-processed once: accumulator reads, or -- after any deletion -- a
+  full scan of the *coordinator's* union graph.  With ``retain_union``
+  the coordinator keeps that union itself, taking every committed
+  change-set in the single session's order (inserts, first version
+  wins; then edge deletions; then node deletions, cascading), so it is
+  the single session's union.  Views of untouched shards come from the
+  view cache, and a read on a quiet feed returns the cached merged
+  schema outright.  In serial mode the union is held twice in one
+  process -- in the shard sessions and in the coordinator -- sharing
+  node and edge objects but not the graph maps.
 * :meth:`checkpoint` extends the session checkpoint format with a
   per-shard manifest: one versioned manifest file plus one ordinary
   session checkpoint per shard, so shards restore independently (and, in
   parallel mode, write/load their own files inside their worker
   processes).
+* **State as a value, for crash recovery only.** A shard's full
+  :class:`~repro.core.state.DiscoveryState` is fetched as its recovery
+  *baseline*: at restore and by the eager resync every
+  :data:`RESYNC_EVERY` applied parts, never by a read.
 * **Worker fault tolerance** (parallel mode): a dead worker process
   never surfaces a raw ``BrokenProcessPool``.  The shard's pool is
-  restarted with bounded exponential backoff, its last fetched
-  :class:`DiscoveryState` is resubmitted and the change-sets applied
-  since are replayed (``_pending``), and the failed operation is
-  retried.  After ``max_shard_retries`` failed restarts the shard
-  *degrades* to an in-process serial session -- correct but no longer
-  parallel -- surfaced through a
-  :class:`~repro.errors.DegradedModeWarning` and a structured
+  restarted with bounded exponential backoff, its baseline is
+  resubmitted and the change-sets applied since are replayed
+  (``_pending``), and the failed operation is retried.  After
+  ``max_shard_retries`` failed restarts the shard *degrades* to an
+  in-process serial session -- correct but no longer parallel --
+  surfaced through a :class:`~repro.errors.DegradedModeWarning` and a
+  structured
   :class:`ShardFaultEvent` journal (``fault_events``), never silently.
 
-Determinism: shard states fold in shard order, the schema merge processes
+Determinism: shard views fold in shard order, the schema merge processes
 types in canonical content order, and the merged schema gets canonical
 type names -- so for label-mergeable feeds the merged schema is
 fingerprint-identical to a single :class:`SchemaSession` over the same
@@ -83,7 +96,7 @@ from repro.core.shm import (
     rebase_changeset,
     shm_available,
 )
-from repro.core.state import DiscoveryState
+from repro.core.state import DiscoveryState, instance_bearing, merged_schema
 from repro.errors import (
     CheckpointCorruptError,
     ConfigurationError,
@@ -110,8 +123,8 @@ MANIFEST_VERSION = 4
 MANIFEST_NAME = "manifest.ckpt"
 
 #: Pending-replay length at which a parallel shard's state is fetched
-#: eagerly, bounding how many parts a pool restart must resubmit on an
-#: unread feed.
+#: eagerly as its recovery baseline, bounding how many parts a pool
+#: restart must resubmit.
 RESYNC_EVERY = 64
 
 
@@ -138,6 +151,35 @@ class ShardedChangeReport:
     def shards_touched(self) -> int:
         """Number of shards that received work from this change-set."""
         return len(self.shard_reports)
+
+
+@dataclass(frozen=True)
+class ShardView:
+    """What a merged read needs from one shard, and nothing more.
+
+    ``schema`` is the shard's instance-bearing schema
+    (:func:`~repro.core.state.instance_bearing`); it carries the per-type
+    accumulators only while ``streaming_valid`` holds -- after a deletion
+    the read re-scans the coordinator's union and has no use for them.
+    ``sequence`` is the shard's stream position.  In serial mode the
+    view shares the live shard's type objects: read it, never mutate it.
+    """
+
+    schema: SchemaGraph
+    streaming_valid: bool
+    sequence: int
+
+
+def shard_view(session: SchemaSession) -> ShardView:
+    """The :class:`ShardView` of one shard session."""
+    state = session.discovery_state
+    return ShardView(
+        schema=instance_bearing(
+            state.schema, keep_summaries=state.streaming_valid
+        ),
+        streaming_valid=state.streaming_valid,
+        sequence=state.sequence,
+    )
 
 
 @dataclass(frozen=True)
@@ -194,6 +236,10 @@ def _worker_state() -> DiscoveryState:
     return _WORKER_SESSION.discovery_state
 
 
+def _worker_view() -> ShardView:
+    return shard_view(_WORKER_SESSION)
+
+
 def _worker_checkpoint(path: str) -> str:
     return str(_WORKER_SESSION.checkpoint(path))
 
@@ -207,9 +253,9 @@ def _worker_restore(path: str) -> int:
 def _worker_adopt(state: DiscoveryState, config, schema_name) -> int:
     """Replace the worker's session with one resumed from ``state``.
 
-    Pool-restart recovery ships the shard's last fetched state back into
-    the fresh worker; the parent then replays the change-sets applied
-    since that fetch, reproducing the pre-crash session bit for bit.
+    Pool-restart recovery ships the shard's baseline back into the fresh
+    worker; the parent then replays the change-sets applied since that
+    baseline was fetched, reproducing the pre-crash session bit for bit.
     """
     global _WORKER_SESSION
     _WORKER_SESSION = SchemaSession.from_state(
@@ -222,6 +268,7 @@ def _worker_adopt(state: DiscoveryState, config, schema_name) -> int:
 _WORKER_OPS = {
     "apply": _worker_apply,
     "state": _worker_state,
+    "view": _worker_view,
     "checkpoint": _worker_checkpoint,
 }
 
@@ -232,6 +279,8 @@ def _degraded_op(session: SchemaSession, op: str, *args):
         return session.apply(args[0])
     if op == "state":
         return session.discovery_state
+    if op == "view":
+        return shard_view(session)
     return str(session.checkpoint(args[0]))
 
 
@@ -309,7 +358,7 @@ class ShardedSchemaSession:
             self.config.retain_union if retain_union is None else retain_union
         )
         # Shards must never flush post-processing themselves: specs stay
-        # raw so the passes run once, over the merged state.
+        # raw so the passes run once, over the merged schema.
         self._shard_config = replace(self.config, post_process_each_batch=False)
         self._partitioner = HashPartitioner(self.n_shards)
         #: first-inserted version of every live node, for stub routing
@@ -333,14 +382,27 @@ class ShardedSchemaSession:
         self._signatures = SignatureStore(self._interner)
         self._sequence = 0
         self.reports: list[ShardedChangeReport] = []
+        #: per shard: changed since its view was last fetched.
         self._shard_dirty = [True] * self.n_shards
+        #: the last fetched read view of each shard (merged reads only).
+        self._shard_views: list[ShardView | None] = [None] * self.n_shards
+        #: the crash-recovery baseline of each parallel shard: its full
+        #: state as of restore or the last eager resync (never a read).
         self._shard_states: list[DiscoveryState | None] = [None] * self.n_shards
-        self._merged_state: DiscoveryState | None = None
+        self._merged_schema: SchemaGraph | None = None
+        #: the union of every change-set committed so far, maintained
+        #: like a single session's (``retain_union`` only): the graph the
+        #: full-scan post-processing reads after a deletion.
+        self._union: PropertyGraph | None = (
+            PropertyGraph(f"{self.schema_name}-union")
+            if self._retain_union
+            else None
+        )
         self._shards: list[SchemaSession] | None = None
         self._pools: list[ProcessPoolExecutor] | None = None
         # Fault tolerance (parallel mode): worker death triggers up to
         # ``max_shard_retries`` pool restarts with bounded exponential
-        # backoff, resubmitting the shard's last fetched state plus the
+        # backoff, resubmitting the shard's baseline plus the
         # change-sets applied since (``_pending``); exhausted retries
         # degrade the shard to an in-process session, never silently.
         self.max_shard_retries = int(max_shard_retries)
@@ -419,7 +481,7 @@ class ShardedSchemaSession:
     @property
     def dirty(self) -> bool:
         """True when some shard changed since the last merged read."""
-        return self._merged_state is None or any(self._shard_dirty)
+        return self._merged_schema is None or any(self._shard_dirty)
 
     @property
     def shard_sessions(self) -> list[SchemaSession]:
@@ -555,8 +617,11 @@ class ShardedSchemaSession:
         partitions, which keeps the registry serial-equivalent), so a
         batch rejected at staging or submission cannot leave the
         registry missing nodes the shards still hold.  The signature
-        decrement reads the registry entry before it is dropped.
+        decrement reads the registry entry before it is dropped.  The
+        coordinator union takes the change-set at the same point.
         """
+        if self._union is not None:
+            self._update_union(prepared.change_set)
         for node_id in prepared.deleted_nodes:
             self._signatures.remove(
                 self._record_signature(self._registry[node_id])
@@ -564,6 +629,24 @@ class ShardedSchemaSession:
             del self._registry[node_id]
         self._sequence += 1
         return self._sequence
+
+    def _update_union(self, change_set: ChangeSet) -> None:
+        """Mirror one committed change-set into the coordinator union.
+
+        The order and rules of :meth:`SchemaSession._apply`: inserted
+        rows the union lacks are added (first version wins), then edge
+        deletions apply, then node deletions, each cascading its
+        incident edges; ids the union does not hold are skipped.
+        """
+        union = self._union
+        if change_set.columnar is not None:
+            change_set.columnar.merge_into_graph(union)
+        for edge_id in change_set.delete_edges:
+            if union.has_edge(edge_id):
+                union.remove_edge(edge_id)
+        for node_id in change_set.delete_nodes:
+            if union.has_node(node_id):
+                union.remove_node(node_id)
 
     def _build_report(
         self,
@@ -773,11 +856,11 @@ class ShardedSchemaSession:
     def _record_applied(self, index: int, part: ChangeSet) -> None:
         """Track a worker-applied change-set for crash resubmission.
 
-        The pending list replays on top of the shard's last fetched
-        state after a pool restart; it is cleared whenever a fresh state
-        snapshot is fetched.  Past :data:`RESYNC_EVERY` entries the state
-        is resynced eagerly so an unread feed cannot grow the replay tail
-        without bound.
+        The pending list replays on top of the shard's baseline after a
+        pool restart; it is cleared whenever a fresh baseline is fetched.
+        Reads fetch views, never baselines, so past :data:`RESYNC_EVERY`
+        entries the state is resynced eagerly: the replay tail stays
+        bounded however the feed is read.
         """
         pending = self._pending[index]
         pending.append(part)
@@ -787,10 +870,6 @@ class ShardedSchemaSession:
         # resync only at quiescence (ingest_stream drains to get there).
         if len(pending) >= RESYNC_EVERY and not self._shard_inflight[index]:
             self._store_fetched_state(index, self._shard_op(index, "state"))
-            self._shard_dirty[index] = False
-            # The cached per-shard state is current, but the merged
-            # snapshot is not -- drop it so the next read re-merges.
-            self._merged_state = None
 
     def _store_fetched_state(self, index: int, state: DiscoveryState) -> None:
         """Adopt a freshly fetched shard state as the recovery baseline."""
@@ -929,7 +1008,7 @@ class ShardedSchemaSession:
     def _degrade_shard(self, index: int, detail: str) -> SchemaSession:
         """Exhausted retries: rebuild the shard in-process and continue.
 
-        Correctness is preserved (last fetched state + pending replay,
+        Correctness is preserved (baseline + pending replay,
         exactly what a pool restart resubmits); parallelism for this
         shard is not.  Surfaced as a :class:`DegradedModeWarning` plus a
         structured ``"degraded"`` fault event -- never silent.
@@ -951,103 +1030,100 @@ class ShardedSchemaSession:
         if baseline is None:
             session = self._make_shard_session(index)
         else:
-            # Independent copy: the cached snapshot keeps serving merged
-            # reads and must not alias the now-mutable degraded session
-            # state.  ``clone`` shares the grow-only interner instead of
-            # re-pickling it with the body.
+            # The baseline serves no read and no pool will restart from
+            # it again, so the degraded session adopts it in place.
             session = SchemaSession.from_state(
-                baseline.clone(),
+                baseline,
                 self._shard_config,
                 schema_name=f"{self.schema_name}-shard{index}",
             )
         for part in self._pending[index]:
             self._degraded_apply(session, part)
         self._pending[index].clear()
+        self._shard_states[index] = None
         self._degraded[index] = session
         return session
 
     # ------------------------------------------------------------------
     # Merged read view
     # ------------------------------------------------------------------
-    def _fetch_state(self, index: int) -> DiscoveryState:
+    def _fetch_view(self, index: int) -> ShardView:
         if not self.parallel:
-            return self._shards[index].discovery_state
-        return self._shard_op(index, "state")
+            return shard_view(self._shards[index])
+        return self._shard_op(index, "view")
 
-    def _refresh_states(self) -> list[DiscoveryState]:
-        states: list[DiscoveryState] = []
+    def _refresh_views(self) -> list[ShardView]:
+        """The current view of every shard, re-fetching dirty ones only.
+
+        Every fetch lands in a local map first; the view cache and the
+        dirty flags are written together once all fetches succeeded, so
+        a failed fetch leaves both as they were.
+        """
+        stale = [
+            index
+            for index in range(self.n_shards)
+            if self._shard_dirty[index] or self._shard_views[index] is None
+        ]
+        fetched: dict[int, ShardView] = {}
         if self.parallel:
-            # Fetch all dirty live shards concurrently (pickle
-            # round-trips); a dead worker falls back to the serial
-            # crash-recovery path below.
+            # Fetch all stale live shards concurrently; a dead worker
+            # falls back to the crash-recovery path below.
             pools = self._ensure_pools()
             futures = {}
-            for index in range(self.n_shards):
+            for index in stale:
                 if index in self._degraded:
                     continue
-                if self._shard_dirty[index] or self._shard_states[index] is None:
-                    try:
-                        futures[index] = pools[index].submit(_worker_state)
-                    except (OSError, BrokenProcessPool):
-                        continue
+                try:
+                    futures[index] = pools[index].submit(_worker_view)
+                except (OSError, BrokenProcessPool):
+                    continue
             if futures:
                 wait(list(futures.values()))
             for index, future in futures.items():
                 try:
-                    self._store_fetched_state(index, future.result())
+                    fetched[index] = future.result()
                 except (OSError, BrokenProcessPool):
                     continue
-                self._shard_dirty[index] = False
-        for index in range(self.n_shards):
-            if self._shard_dirty[index] or self._shard_states[index] is None:
-                state = self._fetch_state(index)
-                if self.parallel:
-                    self._store_fetched_state(index, state)
-                else:
-                    self._shard_states[index] = state  # repro-lint: ignore[PGL802] -- per-shard fetch+store commit together each iteration; a fetch failure leaves earlier shards fully stored and clean, never torn
-                self._shard_dirty[index] = False
-            states.append(self._shard_states[index])
-        return states
+        for index in stale:
+            if index not in fetched:
+                fetched[index] = self._fetch_view(index)
+        for index, view in fetched.items():
+            self._shard_views[index] = view
+            self._shard_dirty[index] = False
+        return list(self._shard_views)
 
     def schema(self) -> SchemaGraph:
         """The merged schema as of the last applied change-set.
 
         Lazily merged with dirty tracking: untouched shards contribute
-        their cached state snapshot, and a read on a quiet feed returns
-        the previous merged schema without any merge at all.  The merged
+        their cached view, and a read on a quiet feed returns the
+        previous merged schema without any merge at all.  The merged
         schema is a value -- later writes never mutate it; the next read
         builds a fresh one.
         """
         if not self.dirty:
-            return self._merged_state.schema
-        states = self._refresh_states()
-        merged = DiscoveryState.merged(
-            states, theta=self.config.theta, name=self.schema_name
+            return self._merged_schema
+        views = self._refresh_views()
+        merged = merged_schema(
+            (view.schema for view in views),
+            theta=self.config.theta,
+            name=self.schema_name,
         )
-        merged.sequence = self._sequence
         if self.config.post_processing:
-            self._post_process(merged)
-        self._merged_state = merged
-        return merged.schema
+            self._post_process(
+                merged, all(view.streaming_valid for view in views)
+            )
+        self._merged_schema = merged
+        return merged
 
-    @property
-    def discovery_state(self) -> DiscoveryState:
-        """The merged :class:`DiscoveryState` (refreshing it if stale)."""
-        self.schema()
-        return self._merged_state
-
-    def _post_process(self, merged: DiscoveryState) -> None:
+    def _post_process(self, merged: SchemaGraph, streaming_valid: bool) -> None:
         pipeline = PGHive(self.config)
-        if merged.streaming_valid:
-            pipeline.post_process_streaming(merged.schema)
+        if streaming_valid:
+            pipeline.post_process_streaming(merged)
         else:
-            if merged.union is None:
-                raise ConfigurationError(
-                    "full-scan post-processing needs the merged union "
-                    "graph; construct the sharded session with "
-                    "retain_union=True"
-                )
-            pipeline.post_process(merged.schema, merged.union)
+            # Only a retain_union session accepts deletions, so the
+            # coordinator union exists whenever streaming reads lapsed.
+            pipeline.post_process(merged, self._union)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore (per-shard manifest format)
@@ -1185,11 +1261,32 @@ class ShardedSchemaSession:
             for future in futures:
                 future.result()
             # Seed the crash-recovery baselines: a worker that dies
-            # before the first merged read must get the restored state
+            # before the first resync must get the restored state
             # resubmitted, not a fresh session.
-            session._refresh_states()
+            futures = [
+                pools[index].submit(_worker_state)
+                for index in range(session.n_shards)
+            ]
+            wait(futures)
+            states = [future.result() for future in futures]
+            for index, state in enumerate(states):
+                session._store_fetched_state(index, state)
         else:
             session._shards = [
                 SchemaSession.restore(path) for path in shard_paths
             ]
+            states = [shard.discovery_state for shard in session._shards]
+        if session._union is not None:
+            # Every row of a node reaches its owner shard, so the owner's
+            # union holds the node's first version; a stub copy elsewhere
+            # may hold a later one.  Each edge lives in its owner's union
+            # only.
+            shard_of = session._partitioner.shard_of
+            for index, state in enumerate(states):
+                for node in state.union.nodes():
+                    if shard_of(node.node_id) == index:
+                        session._union.add_node(node)
+            for state in states:
+                for edge in state.union.edges():
+                    session._union.add_edge(edge)
         return session

@@ -47,7 +47,7 @@ cardinalities, and keys exactly.
 
 from __future__ import annotations
 
-import pickle
+import copy
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -103,36 +103,6 @@ class DiscoveryState:
         )
 
     # ------------------------------------------------------------------
-    # Cloning
-    # ------------------------------------------------------------------
-    def clone(self) -> "DiscoveryState":
-        """An independent deep copy, minus the interner round-trip.
-
-        A full ``pickle.loads(pickle.dumps(state))`` re-serialises the
-        attached :class:`Interner` -- by far the largest payload on
-        structure-heavy states, and pointless: the interner is grow-only,
-        so sharing it keeps every id in the copy valid forever.  The
-        body (schema, accumulators, union graph, caches) round-trips
-        through pickle exactly as before -- bit-identical to the old
-        deep copy -- while the interner is rebound and the signature
-        store gets an independent refcount copy over the shared
-        interner.
-        """
-        interner, signatures = self.interner, self.signatures
-        try:
-            self.interner = None
-            self.signatures = None  # type: ignore[assignment]
-            body: DiscoveryState = pickle.loads(
-                pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        finally:
-            self.interner = interner
-            self.signatures = signatures
-        body.interner = interner
-        body.signatures = signatures.copy()
-        return body
-
-    # ------------------------------------------------------------------
     # Merging
     # ------------------------------------------------------------------
     def merge(
@@ -177,7 +147,7 @@ class DiscoveryState:
 
     def _fold_in(self, other: "DiscoveryState", theta: float) -> None:
         """One fold step of :meth:`merged` (destructive on ``self`` only)."""
-        merge_into(self.schema, _instance_bearing(other.schema), theta)
+        merge_into(self.schema, instance_bearing(other.schema), theta)
         if self.union is not None and other.union is not None:
             self.union.merge_in(other.union)
         if self.pipeline.preprocessor is None:
@@ -208,20 +178,56 @@ class DiscoveryState:
         self.dirty = self.dirty or other.dirty
 
 
-def _instance_bearing(schema: SchemaGraph) -> SchemaGraph:
+def merged_schema(
+    schemas: Iterable[SchemaGraph],
+    theta: float = DEFAULT_THETA,
+    name: str = "merged-schema",
+) -> SchemaGraph:
+    """Fold instance-bearing schemas, in the given order, into one
+    canonical schema.
+
+    The schema half of :meth:`DiscoveryState.merged` -- the same
+    :func:`~repro.schema.merge.merge_into` steps and canonicalisation --
+    and all a merged read of the sharded session needs.  Inputs are
+    read, never mutated, and should already be :func:`instance_bearing`
+    views.
+    """
+    result = SchemaGraph(name)
+    for schema in schemas:
+        merge_into(result, schema, theta)
+    return canonicalize_schema(result)
+
+
+def instance_bearing(
+    schema: SchemaGraph, keep_summaries: bool = True
+) -> SchemaGraph:
     """A read-only view of ``schema`` without its zero-instance types.
 
     A type with no recorded instances describes only endpoint stubs
     whose every element is recorded by another state (its owner shard),
     so merging it would add nothing but a phantom type.  The view shares
     the surviving type objects; callers must treat it as read-only
-    (:func:`~repro.schema.merge.merge_into` does).
+    (:func:`~repro.schema.merge.merge_into` does).  Without
+    ``keep_summaries`` each surviving type is a shallow copy with its
+    accumulators detached -- what a reader that will re-scan the union
+    ships instead of summaries it cannot use.
     """
     view = SchemaGraph(schema.name)
     for node_type in schema.node_types():
         if node_type.instance_count > 0:
-            view.add_node_type(node_type)
+            view.add_node_type(
+                node_type if keep_summaries else _detached(node_type)
+            )
     for edge_type in schema.edge_types():
         if edge_type.instance_count > 0:
-            view.add_edge_type(edge_type)
+            view.add_edge_type(
+                edge_type if keep_summaries else _detached(edge_type)
+            )
+    return view
+
+
+def _detached(schema_type):
+    """A shallow copy of a schema type without its accumulators."""
+    view = copy.copy(schema_type)
+    view.summaries = None
     return view

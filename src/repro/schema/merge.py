@@ -112,15 +112,20 @@ def merge_into(
     deferred_edges: list[EdgeType] = []
     for edge_type in sorted(incoming.edge_types(), key=_edge_sort_key):
         if edge_type.labels:
+            # Only same-token labelled types can match; sorting just them
+            # (the key leads with the token) yields the same first match
+            # as scanning every type in canonical order.
+            token = edge_type.token
+            same_token = [
+                candidate
+                for candidate in target.edge_types()
+                if candidate.labels and candidate.token == token
+            ]
             existing = next(
                 (
                     candidate
-                    for candidate in sorted(
-                        target.edge_types(), key=_edge_sort_key
-                    )
-                    if candidate.labels
-                    and candidate.token == edge_type.token
-                    and _endpoints_overlap(candidate, edge_type)
+                    for candidate in sorted(same_token, key=_edge_sort_key)
+                    if _endpoints_overlap(candidate, edge_type)
                 ),
                 None,
             )

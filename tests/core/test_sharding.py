@@ -1,16 +1,20 @@
 """Unit tests for the sharded session: partitioning, stubs, dirty
 tracking, per-shard checkpoint manifests, and process-parallel mode."""
 
+import pickle
+
 import pytest
 
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.durability import write_artifact
+from repro.core.pipeline import PGHive
 from repro.core.session import CHECKPOINT_MAGIC, SchemaSession
 from repro.core.sharding import (
     MANIFEST_MAGIC,
     MANIFEST_NAME,
     ShardedSchemaSession,
 )
+from repro.core.state import DiscoveryState
 from repro.datasets.registry import load_dataset
 from repro.errors import (
     CheckpointError,
@@ -20,7 +24,12 @@ from repro.errors import (
 )
 from repro.graph.batching import split_into_batches
 from repro.graph.changes import ChangeSet, HashPartitioner, stable_shard
-from repro.graph.columnar import ElementBatch, partition_columnar
+from repro.graph.columnar import (
+    ElementBatch,
+    changesets_from_elements,
+    global_interner,
+    partition_columnar,
+)
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.schema.model import schema_fingerprint
 
@@ -188,7 +197,8 @@ class TestShardedSession:
         session = ShardedSchemaSession(config, n_shards=4)
         session.apply(feed(1)[0])
         session.schema()
-        cached = list(session._shard_states)
+        cached = list(session._shard_views)
+        assert all(view is not None for view in cached)
         # A change-set touching one shard only invalidates that shard.
         lonely = labelled_node(99)
         target_shard = session._partitioner.shard_of(lonely.node_id)
@@ -199,7 +209,38 @@ class TestShardedSession:
         ]
         session.schema()
         for index in untouched:
-            assert session._shard_states[index] is cached[index]
+            assert session._shard_views[index] is cached[index]
+        assert session._shard_views[target_shard] is not cached[target_shard]
+        # Reads fetch views only: serial shards have no baselines at all.
+        assert session._shard_states == [None] * 4
+
+    def test_merged_state_accessor_is_gone(self):
+        # A read folds schemas only; no merged DiscoveryState exists.
+        assert not hasattr(ShardedSchemaSession, "discovery_state")
+
+    def test_views_carry_summaries_only_while_streaming(self):
+        config = PGHiveConfig(seed=1)
+        session = ShardedSchemaSession(config, n_shards=2, retain_union=True)
+        for change_set in feed(2):
+            session.apply(change_set)
+        session.schema()
+        for index, view in enumerate(session._shard_views):
+            shard = session.shard_sessions[index]
+            assert view.streaming_valid
+            assert view.sequence == shard.sequence
+            assert all(
+                t.summaries is not None for t in view.schema.node_types()
+            )
+        session.apply(ChangeSet.deletions(edges=["r0"]))
+        session.schema()
+        owner = session._partitioner.shard_of("r0")
+        view = session._shard_views[owner]
+        assert not view.streaming_valid
+        live = session.shard_sessions[owner].schema_graph
+        for schema_type in view.schema.edge_types():
+            assert schema_type.summaries is None
+            # Detached copies: the live shard keeps its accumulators.
+            assert live.edge_type(schema_type.type_id).summaries is not None
 
     def test_add_batch_matches_apply_from_graph(self):
         config = PGHiveConfig(seed=1)
@@ -415,6 +456,70 @@ class TestIngestStream:
             assert schema_fingerprint(session.schema()) == schema_fingerprint(
                 serial.schema()
             )
+
+
+class TestReadPath:
+    """A merged read folds shard views: it merges no union, builds or
+    pickles no DiscoveryState, and its full scan reads the coordinator's
+    own union."""
+
+    def test_serial_reads_fold_views_only(self, monkeypatch):
+        config = PGHiveConfig(seed=1)
+        session = ShardedSchemaSession(config, n_shards=3, retain_union=True)
+        change_sets = feed(4)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called by a merged read")
+
+        real_dumps = pickle.dumps
+
+        def dumps(value, *args, **kwargs):
+            if isinstance(value, DiscoveryState):
+                raise AssertionError("a DiscoveryState was pickled by a read")
+            return real_dumps(value, *args, **kwargs)
+
+        scanned = []
+        real_post_process = PGHive.post_process
+
+        def post_process(pipeline, schema, graph):
+            scanned.append(graph)
+            return real_post_process(pipeline, schema, graph)
+
+        def read():
+            with monkeypatch.context() as patch:
+                patch.setattr(PropertyGraph, "merge_in", forbidden)
+                patch.setattr(DiscoveryState, "merged", forbidden)
+                patch.setattr(pickle, "dumps", dumps)
+                patch.setattr(PGHive, "post_process", post_process)
+                return session.schema()
+
+        for change_set in change_sets[:3]:
+            session.apply(change_set)
+        read()
+        assert scanned == []  # insert-only: accumulator reads
+        session.apply(ChangeSet.deletions(edges=["r2"]))
+        read()
+        session.apply(change_sets[3])
+        read()
+        session.apply(ChangeSet.deletions(nodes=["v13"]))
+        read()
+        assert len(scanned) == 3
+        assert all(graph is session._union for graph in scanned)
+
+    def test_parallel_reads_leave_the_interner_alone(self):
+        # Workers intern content the coordinator never sees (MinHash
+        # token strings of LDBC's edges); a read must not pull it in.
+        graph = load_dataset("LDBC", nodes=200, seed=1).graph
+        change_sets = changesets_from_elements(
+            [*graph.nodes(), *graph.edges()], batch_size=100
+        )
+        config = PGHiveConfig(seed=1, method=ClusteringMethod.MINHASH)
+        with ShardedSchemaSession(config, n_shards=2, parallel=True) as session:
+            for change_set in change_sets:
+                session.apply(change_set)
+                before = global_interner().snapshot()
+                session.schema()
+                assert global_interner().snapshot() == before
 
 
 class TestParallelMode:

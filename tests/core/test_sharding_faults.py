@@ -129,3 +129,62 @@ class TestWorkerDeath:
             assert all(e.kind == "retry" for e in session.fault_events)
         finally:
             session.close()
+
+
+def churn_feed():
+    """Inserts with node and edge deletions; no later edge touches a
+    deleted node."""
+    inserts = change_feed(5)
+    return [
+        inserts[0],
+        inserts[1],
+        ChangeSet.deletions(nodes=["n0-2"], edges=["e1-3"]),
+        inserts[2],
+        inserts[3],
+        # A node deletion broadcasts, so it reaches the killed shard.
+        ChangeSet.deletions(nodes=["n2-1"], edges=["e3-0"]),
+        inserts[4],
+    ]
+
+
+class TestWorkerDeathAfterRead:
+    def test_replay_starts_from_the_baseline_not_the_read(self):
+        feed = churn_feed()
+        oracle = SchemaSession(CONFIG, schema_name="s", retain_union=True)
+        for change_set in feed[:6]:
+            oracle.apply(change_set)
+        session = ShardedSchemaSession(
+            CONFIG,
+            schema_name="s",
+            n_shards=2,
+            parallel=True,
+            retain_union=True,
+            retry_backoff=0.01,
+        )
+        try:
+            for change_set in feed[:3]:
+                session.apply(change_set)
+            replay_tail = len(session._pending[0])
+            session.schema()
+            # A read fetches views: the replay tail and baseline stay.
+            assert len(session._pending[0]) == replay_tail > 0
+            assert session._shard_states[0] is None
+            for change_set in feed[3:5]:
+                session.apply(change_set)
+            FaultInjector.kill_process(session.worker_pids()[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                session.apply(feed[5])
+                schema = session.schema()
+            assert [e.kind for e in session.fault_events] == ["retry"]
+            assert session.fault_events[0].shard == 0
+            assert schema_fingerprint(schema) == schema_fingerprint(
+                oracle.schema()
+            )
+            session.apply(feed[6])
+            oracle.apply(feed[6])
+            assert schema_fingerprint(session.schema()) == schema_fingerprint(
+                oracle.schema()
+            )
+        finally:
+            session.close()

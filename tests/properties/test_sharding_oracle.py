@@ -13,7 +13,16 @@ labels, so type reconciliation across shards is driven by exact token
 matches -- the regime in which the merge is provably order-independent.
 Abstract-type Jaccard absorption is order-sensitive by design (it already
 is between the batches of a single session) and is out of scope here.
+
+The union oracle holds the coordinator's own union graph (the graph a
+full-scan read re-scans after a deletion) to the single session's union
+after every read, and again after checkpoint -> restore: the same node
+and edge ids, labels, properties and endpoints.  It runs serially at 1, 2
+and 4 shards, and process-parallel at 2 shards restoring into both
+execution modes.
 """
+
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,11 +30,12 @@ from hypothesis import strategies as st
 from repro.core.config import PGHiveConfig
 from repro.core.session import SchemaSession
 from repro.core.sharding import ShardedSchemaSession
-from repro.graph.changes import ChangeSet
+from repro.graph.changes import ChangeSet, HashPartitioner
 from repro.graph.model import Edge, Node
 from repro.schema.model import schema_fingerprint
 
 SHARD_COUNTS = (1, 2, 4, 7)
+UNION_SHARD_COUNTS = (1, 2, 4)
 LABELS = ["Person", "Org", "Post"]
 KEYS = ["name", "age", "url", "rank"]
 
@@ -197,3 +207,109 @@ class TestShardingMatchesSingleSession:
         }
         reference = schema_fingerprint(drive_single(change_sets, config))
         assert all(fp == reference for fp in fingerprints.values())
+
+
+def union_content(graph) -> tuple[dict, dict]:
+    """Every node and edge of a union graph, by id, with its content."""
+    nodes = {
+        node.node_id: (frozenset(node.labels), dict(node.properties))
+        for node in graph.nodes()
+    }
+    edges = {
+        edge.edge_id: (
+            edge.source_id,
+            edge.target_id,
+            frozenset(edge.labels),
+            dict(edge.properties),
+        )
+        for edge in graph.edges()
+    }
+    return nodes, edges
+
+
+def check_union_oracle(change_sets, config, n_shards, parallel, restore_modes):
+    """Coordinator union and merged schema vs one single session, after
+    every read and after checkpoint -> restore into each mode."""
+    single = SchemaSession(config, retain_union=True)
+    with ShardedSchemaSession(
+        config, n_shards=n_shards, parallel=parallel, retain_union=True
+    ) as sharded:
+        for change_set in change_sets:
+            single.apply(change_set)
+            sharded.apply(change_set)
+            assert schema_fingerprint(sharded.schema()) == schema_fingerprint(
+                single.schema()
+            ), f"n_shards={n_shards}: merged schema diverged"
+            assert union_content(sharded._union) == union_content(
+                single.union_graph
+            ), f"n_shards={n_shards}: coordinator union diverged"
+        expected_union = union_content(single.union_graph)
+        expected = schema_fingerprint(single.schema())
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = sharded.checkpoint(scratch)
+            for mode in restore_modes:
+                with ShardedSchemaSession.restore(
+                    directory, parallel=mode
+                ) as restored:
+                    assert union_content(restored._union) == expected_union
+                    assert schema_fingerprint(restored.schema()) == expected
+
+
+class TestCoordinatorUnionMatchesSingleSession:
+    @given(ops=operation_scripts())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_serial_union_after_every_read(self, ops):
+        change_sets = to_change_sets(interpret(ops))
+        config = PGHiveConfig(seed=3, infer_keys=True)
+        for n_shards in UNION_SHARD_COUNTS:
+            check_union_oracle(
+                change_sets, config, n_shards, False, restore_modes=(False,)
+            )
+
+    @given(ops=operation_scripts())
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_parallel_union_after_every_read(self, ops):
+        change_sets = to_change_sets(interpret(ops))
+        config = PGHiveConfig(seed=3, infer_keys=True)
+        check_union_oracle(
+            change_sets, config, 2, True, restore_modes=(False, True)
+        )
+
+    def test_restored_union_keeps_first_versions(self):
+        """A node re-inserted with new content keeps its first version in
+        the single session's union; a cross-shard edge ships the new
+        version as a stub to another shard, and the restored coordinator
+        union must still take the owner's copy."""
+        partitioner = HashPartitioner(2)
+        node_id = next(
+            f"a{i}" for i in range(100) if partitioner.shard_of(f"a{i}") == 1
+        )
+        other = next(
+            f"b{i}" for i in range(100) if partitioner.shard_of(f"b{i}") == 0
+        )
+        edge_id = next(
+            f"e{i}" for i in range(100) if partitioner.shard_of(f"e{i}") == 0
+        )
+        change_sets = [
+            ChangeSet.inserts(
+                nodes=[
+                    Node(node_id, {"Person"}, {"person_id": 1}),
+                    Node(other, {"Person"}, {"person_id": 2}),
+                ]
+            ),
+            ChangeSet.inserts(
+                nodes=[Node(node_id, {"Person"}, {"person_id": 99})],
+                edges=[Edge(edge_id, other, node_id, {"R_Person_Person"})],
+            ),
+        ]
+        check_union_oracle(
+            change_sets, PGHiveConfig(seed=3), 2, False, restore_modes=(False,)
+        )

@@ -29,7 +29,12 @@ the two layer by layer:
 * **post-processing** (section 4.4) -- constraints, datatypes,
   cardinalities and keys re-read from a retained union graph by
   :meth:`PGHive.post_process` (:func:`full_scan_session` /
-  :func:`full_scan`), the oracle of the accumulator reads.
+  :func:`full_scan`), the oracle of the accumulator reads;
+* **schema merging** (section 4.6) -- each labelled incoming edge type
+  scanning every target edge type in canonical order for its match
+  (:func:`reference_merge_into`), the oracle of the token-filtered
+  matcher in :func:`repro.schema.merge.merge_into`
+  (``tests/properties/test_merge_oracle.py``).
 
 Nothing here is optimised; it is test code, and slow on purpose.
 """
@@ -71,6 +76,17 @@ from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
 from repro.schema.cardinality import CardinalityBounds
 from repro.schema.datatypes import generalize, infer_value_type
+from repro.schema.merge import (
+    DEFAULT_THETA,
+    _absorb_sorted,
+    _add_edge_copy,
+    _add_node_copy,
+    _edge_sort_key,
+    _endpoints_overlap,
+    _merge_unlabeled_edge,
+    _merge_unlabeled_node,
+    _node_sort_key,
+)
 from repro.schema.model import EdgeType, SchemaGraph
 from repro.util import derive_seed, jaccard
 
@@ -640,3 +656,49 @@ def full_scan_session(
 def full_scan(session: SchemaSession, config: PGHiveConfig) -> SchemaGraph:
     """Post-process ``session``'s raw schema by re-scanning its union."""
     return PGHive(config).post_process(session.schema_graph, session.union_graph)
+
+
+def reference_merge_into(
+    target: SchemaGraph,
+    incoming: SchemaGraph,
+    theta: float = DEFAULT_THETA,
+) -> SchemaGraph:
+    """:func:`repro.schema.merge.merge_into` with every labelled incoming
+    edge type re-sorting *all* target edge types before filtering by
+    token."""
+    deferred_nodes = []
+    for node_type in sorted(incoming.node_types(), key=_node_sort_key):
+        if node_type.labels:
+            existing = target.node_type_by_token(node_type.token)
+            if existing is not None:
+                _absorb_sorted(existing, node_type)
+            else:
+                _add_node_copy(target, node_type)
+        else:
+            deferred_nodes.append(node_type)
+    for node_type in deferred_nodes:
+        _merge_unlabeled_node(target, node_type, theta)
+    deferred_edges = []
+    for edge_type in sorted(incoming.edge_types(), key=_edge_sort_key):
+        if edge_type.labels:
+            existing = next(
+                (
+                    candidate
+                    for candidate in sorted(
+                        target.edge_types(), key=_edge_sort_key
+                    )
+                    if candidate.labels
+                    and candidate.token == edge_type.token
+                    and _endpoints_overlap(candidate, edge_type)
+                ),
+                None,
+            )
+            if existing is not None:
+                _absorb_sorted(existing, edge_type)
+            else:
+                _add_edge_copy(target, edge_type)
+        else:
+            deferred_edges.append(edge_type)
+    for edge_type in deferred_edges:
+        _merge_unlabeled_edge(target, edge_type, theta)
+    return target
