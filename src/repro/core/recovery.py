@@ -55,7 +55,7 @@ from typing import Self
 
 from repro.core.durability import WriteAheadLog
 from repro.core.session import ChangeReport, SchemaSession
-from repro.core.sharding import ShardedSchemaSession
+from repro.core.sharding import ShardedSchemaSession, _BaselineFiles
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -439,8 +439,9 @@ class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
     def _adopt_restored(self, base: ShardedSchemaSession) -> None:
         """Transplant a restored base session's live innards.
 
-        The donor is neutralised afterwards (its pools and shard
-        sessions now belong to this session); do not keep using it.
+        The donor is neutralised afterwards (its pools, shard sessions
+        and baseline files -- directory and finalizer alike -- now belong
+        to this session); do not keep using it.
         """
         self._registry = base._registry
         self._interner = base._interner
@@ -450,7 +451,7 @@ class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
         self.reports = base.reports
         self._shards = base._shards
         self._pools = base._pools
-        self._shard_states = base._shard_states
+        self._baselines = base._baselines
         self._shard_views = base._shard_views
         self._shard_dirty = base._shard_dirty
         self._merged_schema = base._merged_schema
@@ -459,3 +460,4 @@ class DurableShardedSchemaSession(_DurableLog, ShardedSchemaSession):
         self._degraded = base._degraded
         base._pools = None
         base._shards = None
+        base._baselines = _BaselineFiles(base.n_shards)

@@ -80,9 +80,11 @@ from repro.util import Timer
 #: payload digest and length since v2; see repro.core.durability).
 #: Version 3 dropped the per-session post-processing options, which
 #: follow the config; version 4 keeps endpoint summaries as per-source
-#: target maps plus in-degrees instead of per-endpoint sets.
+#: target maps plus in-degrees instead of per-endpoint sets; version 5
+#: drops the per-change-set reports and batch timings, which grew with
+#: the stream.
 CHECKPOINT_MAGIC = b"pghive-session-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)  # no slots: checkpoints pickle these, and
@@ -138,6 +140,26 @@ def _diff_snapshot(schema: SchemaGraph) -> SchemaGraph:
         clone.cardinality_bounds = edge_type.cardinality_bounds
         snapshot.add_edge_type(clone)
     return snapshot
+
+
+def read_checkpoint_payload(path: str | Path) -> dict:
+    """The decoded payload dict of one :meth:`SchemaSession.checkpoint` file.
+
+    The header's version and payload digest are verified before
+    unpickling; failures raise the typed errors
+    :meth:`SchemaSession.restore` documents.  Readers that need only
+    part of a checkpoint (the sharded coordinator rebuilding its union
+    from shard files) load it through here without building a session.
+    Only read files from trusted sources: the payload is a pickle.
+    """
+    path = Path(path)
+    _, data = read_artifact(path, CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION)
+    try:
+        return pickle.loads(data)
+    except Exception as error:
+        raise CheckpointCorruptError(
+            f"{path}: corrupt checkpoint payload: {error}"
+        ) from error
 
 
 class SchemaSession:
@@ -676,8 +698,9 @@ class SchemaSession:
         schema (with its per-type accumulators), the fitted preprocessor
         and its embedding cache, the MinHash instances with their
         signature caches, the union graph when retained, and the stream
-        position.  Subscribers, the store binding, and wall-clock timings
-        are process-local and deliberately not captured.  Written
+        position.  Subscribers, the store binding, per-change-set reports
+        and wall-clock timings are process-local and deliberately not
+        captured: a restored session starts them empty.  Written
         atomically (temp file + fsync + rename) with a payload digest in
         the header that :meth:`restore` verifies.
         """
@@ -707,10 +730,8 @@ class SchemaSession:
             # restored stores re-intern the content against the restoring
             # process's interner.
             "signatures": self._dstate.signatures.snapshot(),
-            "reports": list(self.reports),
             "result": {
                 "batches_processed": self._result.batches_processed,
-                "batch_seconds": list(self._result.batch_seconds),
                 "node_cluster_count": self._result.node_cluster_count,
                 "edge_cluster_count": self._result.edge_cluster_count,
                 "node_parameters": self._result.node_parameters,
@@ -736,17 +757,7 @@ class SchemaSession:
         :class:`CheckpointVersionError`, :class:`CheckpointCorruptError`).
         Only restore files from trusted sources: the payload is a pickle.
         """
-        path = Path(path)
-        _, data = read_artifact(
-            path, CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION
-        )
-        try:
-            payload = pickle.loads(data)
-        except Exception as error:
-            raise CheckpointCorruptError(
-                f"{path}: corrupt checkpoint payload: {error}"
-            ) from error
-        return cls._from_checkpoint_payload(payload)
+        return cls._from_checkpoint_payload(read_checkpoint_payload(path))
 
     @classmethod
     def _from_checkpoint_payload(cls, payload: dict) -> "SchemaSession":
@@ -777,11 +788,9 @@ class SchemaSession:
                 ),
             )
         )
-        session.reports = list(payload["reports"])
         meta = payload["result"]
         session._result.schema = session._schema
         session._result.batches_processed = meta["batches_processed"]
-        session._result.batch_seconds = list(meta["batch_seconds"])
         session._result.node_cluster_count = meta["node_cluster_count"]
         session._result.edge_cluster_count = meta["edge_cluster_count"]
         session._result.node_parameters = meta["node_parameters"]

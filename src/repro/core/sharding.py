@@ -47,14 +47,18 @@ state, combine on read -- applied to PG-HIVE:
   session checkpoint per shard, so shards restore independently (and, in
   parallel mode, write/load their own files inside their worker
   processes).
-* **State as a value, for crash recovery only.** A shard's full
-  :class:`~repro.core.state.DiscoveryState` is fetched as its recovery
-  *baseline*: at restore and by the eager resync every
-  :data:`RESYNC_EVERY` applied parts, never by a read.
+* **Recovery baselines are checkpoint files.** A parallel shard's
+  crash-recovery *baseline* is a session checkpoint file in one
+  session-private temporary directory: the shard files that
+  :meth:`~ShardedSchemaSession.restore` read and
+  :meth:`~ShardedSchemaSession.checkpoint` wrote, hard-linked there, or
+  one the worker writes itself once :data:`RESYNC_EVERY` applied parts
+  wait for replay (the eager resync).  A shard's state never crosses to
+  the coordinator except as a read view.
 * **Worker fault tolerance** (parallel mode): a dead worker process
   never surfaces a raw ``BrokenProcessPool``.  The shard's pool is
-  restarted with bounded exponential backoff, its baseline is
-  resubmitted and the change-sets applied since are replayed
+  restarted with bounded exponential backoff, the fresh worker restores
+  the baseline file and the change-sets applied since are replayed
   (``_pending``), and the failed operation is retried.  After
   ``max_shard_retries`` failed restarts the shard *degrades* to an
   in-process serial session -- correct but no longer parallel --
@@ -75,8 +79,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
+import tempfile
 import time
 import warnings
+import weakref
 from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import Future, ProcessPoolExecutor, wait
@@ -87,7 +94,11 @@ from pathlib import Path
 from repro.core.config import PGHiveConfig
 from repro.core.durability import read_artifact, write_artifact
 from repro.core.pipeline import PGHive
-from repro.core.session import ChangeReport, SchemaSession
+from repro.core.session import (
+    ChangeReport,
+    SchemaSession,
+    read_checkpoint_payload,
+)
 from repro.core.shm import (
     ShmChangeSet,
     decode_changeset_shm,
@@ -96,9 +107,10 @@ from repro.core.shm import (
     rebase_changeset,
     shm_available,
 )
-from repro.core.state import DiscoveryState, instance_bearing, merged_schema
+from repro.core.state import instance_bearing, merged_schema
 from repro.errors import (
     CheckpointCorruptError,
+    CheckpointError,
     ConfigurationError,
     DegradedModeWarning,
 )
@@ -122,8 +134,8 @@ MANIFEST_MAGIC = b"pghive-sharded-checkpoint"
 MANIFEST_VERSION = 4
 MANIFEST_NAME = "manifest.ckpt"
 
-#: Pending-replay length at which a parallel shard's state is fetched
-#: eagerly as its recovery baseline, bounding how many parts a pool
+#: Pending-replay length at which a parallel shard's worker is asked to
+#: write a fresh recovery baseline file, bounding how many parts a pool
 #: restart must resubmit.
 RESYNC_EVERY = 64
 
@@ -232,10 +244,6 @@ def _worker_apply_shm(descriptor: ShmChangeSet) -> ChangeReport:
     return session.apply(decode_changeset_shm(descriptor, interner))
 
 
-def _worker_state() -> DiscoveryState:
-    return _WORKER_SESSION.discovery_state
-
-
 def _worker_view() -> ShardView:
     return shard_view(_WORKER_SESSION)
 
@@ -250,24 +258,8 @@ def _worker_restore(path: str) -> int:
     return _WORKER_SESSION.sequence
 
 
-def _worker_adopt(state: DiscoveryState, config, schema_name) -> int:
-    """Replace the worker's session with one resumed from ``state``.
-
-    Pool-restart recovery ships the shard's baseline back into the fresh
-    worker; the parent then replays the change-sets applied since that
-    baseline was fetched, reproducing the pre-crash session bit for bit.
-    """
-    global _WORKER_SESSION
-    _WORKER_SESSION = SchemaSession.from_state(
-        state, config, schema_name=schema_name
-    )
-    return _WORKER_SESSION.sequence
-
-
 #: Worker entry points by operation name, for the crash-recovery wrapper.
 _WORKER_OPS = {
-    "apply": _worker_apply,
-    "state": _worker_state,
     "view": _worker_view,
     "checkpoint": _worker_checkpoint,
 }
@@ -275,13 +267,66 @@ _WORKER_OPS = {
 
 def _degraded_op(session: SchemaSession, op: str, *args):
     """In-process equivalent of one worker operation (degraded shards)."""
-    if op == "apply":
-        return session.apply(args[0])
-    if op == "state":
-        return session.discovery_state
     if op == "view":
         return shard_view(session)
     return str(session.checkpoint(args[0]))
+
+
+class _BaselineFiles:
+    """The crash-recovery baseline file of every parallel shard.
+
+    Baselines live in one private temporary directory, made on first
+    use and never under a durable session's directory (it would count
+    as session disk and outlive a coordinator crash next to the WAL).
+    Checkpoint files are hard-linked in (copied across devices), so
+    neither checkpoint retention nor a user deleting a checkpoint
+    directory can remove a live baseline.  :meth:`close` or, failing
+    that, a finalizer on the holder removes the directory.
+    """
+
+    def __init__(self, n_shards: int) -> None:
+        self.paths: list[Path | None] = [None] * n_shards
+        self._directory: Path | None = None
+        self._cleanup: weakref.finalize | None = None
+        self._serial = 0
+
+    def fresh_path(self, index: int) -> Path:
+        """A file name no baseline of this session has used."""
+        if self._directory is None:
+            self._directory = Path(tempfile.mkdtemp(prefix="pghive-baselines-"))
+            self._cleanup = weakref.finalize(
+                self, shutil.rmtree, self._directory, True
+            )
+        self._serial += 1
+        return self._directory / f"shard-{index:03d}-{self._serial:06d}.ckpt"
+
+    def link(self, index: int, source: Path) -> Path:
+        """Hard-link (or copy) one shard checkpoint file in; its new path."""
+        target = self.fresh_path(index)
+        try:
+            os.link(source, target)
+        except OSError:
+            shutil.copyfile(source, target)
+        return target
+
+    def adopt(self, index: int, path: Path) -> None:
+        """Make ``path`` shard ``index``'s baseline, dropping the old file."""
+        self.drop(index)
+        self.paths[index] = path
+
+    def drop(self, index: int) -> None:
+        """Forget shard ``index``'s baseline and delete its file."""
+        old = self.paths[index]
+        if old is not None:
+            old.unlink(missing_ok=True)
+        self.paths[index] = None
+
+    def close(self) -> None:
+        """Remove the directory with every baseline in it."""
+        if self._cleanup is not None:
+            self._cleanup()
+        self._directory = self._cleanup = None
+        self.paths = [None] * len(self.paths)
 
 
 @dataclass
@@ -386,9 +431,9 @@ class ShardedSchemaSession:
         self._shard_dirty = [True] * self.n_shards
         #: the last fetched read view of each shard (merged reads only).
         self._shard_views: list[ShardView | None] = [None] * self.n_shards
-        #: the crash-recovery baseline of each parallel shard: its full
-        #: state as of restore or the last eager resync (never a read).
-        self._shard_states: list[DiscoveryState | None] = [None] * self.n_shards
+        #: the crash-recovery baseline file of each parallel shard, as of
+        #: restore, the last checkpoint or the last eager resync.
+        self._baselines = _BaselineFiles(self.n_shards)
         self._merged_schema: SchemaGraph | None = None
         #: the union of every change-set committed so far, maintained
         #: like a single session's (``retain_union`` only): the graph the
@@ -402,7 +447,7 @@ class ShardedSchemaSession:
         self._pools: list[ProcessPoolExecutor] | None = None
         # Fault tolerance (parallel mode): worker death triggers up to
         # ``max_shard_retries`` pool restarts with bounded exponential
-        # backoff, resubmitting the shard's baseline plus the
+        # backoff, restoring the shard's baseline file and replaying the
         # change-sets applied since (``_pending``); exhausted retries
         # degrade the shard to an in-process session, never silently.
         self.max_shard_retries = int(max_shard_retries)
@@ -458,11 +503,12 @@ class ShardedSchemaSession:
         return self._pools
 
     def close(self) -> None:
-        """Shut down worker processes (no-op in serial mode)."""
+        """Shut down worker processes and remove the baseline files."""
         if self._pools is not None:
             for pool in self._pools:
                 pool.shutdown(wait=True)
             self._pools = None
+        self._baselines.close()
 
     def __enter__(self) -> "ShardedSchemaSession":
         return self
@@ -744,9 +790,15 @@ class ShardedSchemaSession:
                     self._shard_inflight[index] -= 1
                     try:
                         reports[index] = future.result()
-                        self._record_applied(index, parts[index])
                     except (OSError, BrokenProcessPool) as error:
                         failed[index] = error
+                    else:
+                        self._pending[index].append(parts[index])
+                # Every collected part is in its replay tail before any
+                # resync runs.
+                for index in inflight.futures:
+                    if index not in failed:
+                        self._resync_if_due(index)
             for index in sorted(failed):
                 session = self._degraded.get(index)
                 if session is not None:
@@ -797,8 +849,8 @@ class ShardedSchemaSession:
             for change_set in change_sets:
                 # Backpressure: a full window blocks on the oldest
                 # dispatch, and an oversized pending-replay tail drains
-                # the window until the eager resync can run (it is
-                # suppressed while its shard has futures in flight).
+                # the window until the eager resync can run (it waits
+                # for its shard to have no part in flight).
                 while len(window) >= window_size or (
                     window
                     and any(
@@ -853,27 +905,32 @@ class ShardedSchemaSession:
         seconds = time.perf_counter() - start  # repro-lint: ignore[PGL102] -- dispatch wall-clock goes into the batch report only, never into state
         return self._build_report(prepared, sequence, shard_reports, seconds)
 
-    def _record_applied(self, index: int, part: ChangeSet) -> None:
-        """Track a worker-applied change-set for crash resubmission.
+    def _resync_if_due(self, index: int) -> None:
+        """Refresh shard ``index``'s baseline file once its tail is long.
 
-        The pending list replays on top of the shard's baseline after a
-        pool restart; it is cleared whenever a fresh baseline is fetched.
-        Reads fetch views, never baselines, so past :data:`RESYNC_EVERY`
-        entries the state is resynced eagerly: the replay tail stays
-        bounded however the feed is read.
+        The pending tail replays on top of the baseline file after a
+        pool restart.  Reads fetch views, never baselines, so once
+        :data:`RESYNC_EVERY` parts wait the worker writes a fresh
+        baseline and the tail clears: it stays bounded however the feed
+        is read.  The resync runs only with no part of the shard in
+        flight, so the file holds exactly the tail.  One that fails for
+        any reason -- the worker died, the file could not be written --
+        is dropped with its file: the old baseline and the full tail
+        stay exact, and a dead worker is recovered by the next operation.
         """
-        pending = self._pending[index]
-        pending.append(part)
-        # While the shard still has futures in flight (a window of them) a
-        # state fetch would queue behind them and include their effects,
-        # so crash replay of the still-pending parts would double-apply:
-        # resync only at quiescence (ingest_stream drains to get there).
-        if len(pending) >= RESYNC_EVERY and not self._shard_inflight[index]:
-            self._store_fetched_state(index, self._shard_op(index, "state"))
-
-    def _store_fetched_state(self, index: int, state: DiscoveryState) -> None:
-        """Adopt a freshly fetched shard state as the recovery baseline."""
-        self._shard_states[index] = state
+        if (
+            len(self._pending[index]) < RESYNC_EVERY
+            or self._shard_inflight[index]
+            or index in self._degraded
+        ):
+            return
+        path = self._baselines.fresh_path(index)
+        try:
+            self._pools[index].submit(_worker_checkpoint, str(path)).result()
+        except Exception:
+            path.unlink(missing_ok=True)
+            return
+        self._baselines.adopt(index, path)
         self._pending[index].clear()
 
     # ------------------------------------------------------------------
@@ -903,17 +960,11 @@ class ShardedSchemaSession:
         }
 
     def _shard_op(self, index: int, op: str, *args):
-        """Run one worker operation with crash recovery."""
+        """Run one worker read or checkpoint with crash recovery."""
         session = self._degraded.get(index)
         if session is not None:
-            if op == "apply":
-                return self._degraded_apply(session, args[0])
             return _degraded_op(session, op, *args)
         try:
-            if op == "apply":
-                return self._apply_via_pool(
-                    self._ensure_pools()[index], args[0]
-                )
             return self._ensure_pools()[index].submit(
                 _WORKER_OPS[op], *args
             ).result()
@@ -944,21 +995,23 @@ class ShardedSchemaSession:
     ) -> ChangeReport:
         """Apply one change-set on a degraded in-process session.
 
-        Under the shm handoff the degraded session's interner is a
-        worker-lineage copy (restored from the recovery baseline), so
-        the part -- built against the coordinator's interner -- is
-        rebased onto the session's interner first; under the pickle
-        handoff batches already carry a compatible interner.
+        The part is rebased onto the session's interner first: a
+        session restored from a baseline file has its own interner
+        lineage, and coordinator-lineage parts would decode to wrong
+        content against it (a no-op when the interners already agree).
         """
-        if self.handoff == "shm":
-            part = rebase_changeset(
-                part, session.discovery_state.interner or global_interner()
-            )
+        part = rebase_changeset(
+            part, session.discovery_state.interner or global_interner()
+        )
         return session.apply(part)
 
     def _recover_shard_op(self, index: int, op: str, args, error):
         """Restart the shard's pool and re-run ``op``; degrade when the
-        retry budget is exhausted."""
+        retry budget is exhausted.
+
+        A restart that cannot read the shard's baseline file counts as a
+        failed attempt like a worker dying again.
+        """
         detail = f"{type(error).__name__}: {error}"
         for attempt in range(1, self.max_shard_retries + 1):
             self.fault_events.append(
@@ -967,6 +1020,10 @@ class ShardedSchemaSession:
             self._backoff(attempt)
             try:
                 self._restart_shard_pool(index)
+            except (OSError, BrokenProcessPool, CheckpointError) as retry_error:
+                detail = f"{type(retry_error).__name__}: {retry_error}"
+                continue
+            try:
                 if op == "apply":
                     result = self._apply_via_pool(self._pools[index], args[0])
                 else:
@@ -977,7 +1034,8 @@ class ShardedSchemaSession:
                 detail = f"{type(retry_error).__name__}: {retry_error}"
                 continue
             if op == "apply":
-                self._record_applied(index, args[0])
+                self._pending[index].append(args[0])
+                self._resync_if_due(index)
             return result
         session = self._degrade_shard(index, detail)
         if op == "apply":
@@ -990,18 +1048,15 @@ class ShardedSchemaSession:
             time.sleep(delay)  # repro-lint: ignore[PGL102] -- bounded restart backoff; wall-clock never reaches discovery state
 
     def _restart_shard_pool(self, index: int) -> None:
-        """Replace a dead worker pool and rebuild its session state."""
+        """Replace a dead worker pool and rebuild its session state:
+        the fresh worker restores the baseline file, then the pending
+        tail replays over the active handoff."""
         pools = self._ensure_pools()
         pools[index].shutdown(wait=False, cancel_futures=True)
         pools[index] = self._make_shard_pool(index)
-        baseline = self._shard_states[index]
+        baseline = self._baselines.paths[index]
         if baseline is not None:
-            pools[index].submit(
-                _worker_adopt,
-                baseline,
-                self._shard_config,
-                f"{self.schema_name}-shard{index}",
-            ).result()
+            pools[index].submit(_worker_restore, str(baseline)).result()
         for part in self._pending[index]:
             self._apply_via_pool(pools[index], part)
 
@@ -1011,8 +1066,29 @@ class ShardedSchemaSession:
         Correctness is preserved (baseline + pending replay,
         exactly what a pool restart resubmits); parallelism for this
         shard is not.  Surfaced as a :class:`DegradedModeWarning` plus a
-        structured ``"degraded"`` fault event -- never silent.
+        structured ``"degraded"`` fault event -- never silent.  A
+        baseline file that cannot be read leaves nothing to rebuild the
+        shard from: that raises :class:`CheckpointError`.
         """
+        if self._pools is not None:
+            self._pools[index].shutdown(wait=False, cancel_futures=True)
+        baseline = self._baselines.paths[index]
+        if baseline is None:
+            session = self._make_shard_session(index)
+        else:
+            try:
+                session = SchemaSession.restore(baseline)
+            except CheckpointError as error:
+                raise CheckpointError(
+                    f"shard {index} of {self.schema_name!r} cannot be "
+                    f"rebuilt: its recovery baseline is unreadable ({error})"
+                ) from error
+        for part in self._pending[index]:
+            self._degraded_apply(session, part)
+        # No pool restarts this shard again: it needs no baseline.
+        self._pending[index].clear()
+        self._baselines.drop(index)
+        self._degraded[index] = session
         self.fault_events.append(
             ShardFaultEvent("degraded", index, self.max_shard_retries, detail)
         )
@@ -1024,24 +1100,6 @@ class ShardedSchemaSession:
             ),
             stacklevel=4,
         )
-        if self._pools is not None:
-            self._pools[index].shutdown(wait=False, cancel_futures=True)
-        baseline = self._shard_states[index]
-        if baseline is None:
-            session = self._make_shard_session(index)
-        else:
-            # The baseline serves no read and no pool will restart from
-            # it again, so the degraded session adopts it in place.
-            session = SchemaSession.from_state(
-                baseline,
-                self._shard_config,
-                schema_name=f"{self.schema_name}-shard{index}",
-            )
-        for part in self._pending[index]:
-            self._degraded_apply(session, part)
-        self._pending[index].clear()
-        self._shard_states[index] = None
-        self._degraded[index] = session
         return session
 
     # ------------------------------------------------------------------
@@ -1135,8 +1193,11 @@ class ShardedSchemaSession:
         metadata incl. the node registry and the stream position) plus
         one ordinary :meth:`SchemaSession.checkpoint` file per shard.
         In parallel mode every shard writes its own file from inside its
-        worker process.  The manifest is written last, so a directory
-        with a readable manifest always has complete shard files.
+        worker process, and the files become the shards' recovery
+        baselines: ``checkpoint`` runs with no part in flight, so each
+        file holds every part its shard was handed.  The manifest is
+        written last, so a directory with a readable manifest always has
+        complete shard files.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -1169,6 +1230,15 @@ class ShardedSchemaSession:
                     self._shard_op(
                         index, "checkpoint", str(directory / shard_files[index])
                     )
+            for index in range(self.n_shards):
+                if index not in self._degraded:
+                    self._baselines.adopt(
+                        index,
+                        self._baselines.link(
+                            index, directory / shard_files[index]
+                        ),
+                    )
+                    self._pending[index].clear()
         else:
             for index in range(self.n_shards):
                 self._shards[index].checkpoint(directory / shard_files[index])
@@ -1251,42 +1321,55 @@ class ShardedSchemaSession:
         # interner; later batches must share it.
         session._interner_pinned = bool(session._registry)
         shard_paths = [directory / name for name in payload["shard_files"]]
-        if session.parallel:
-            pools = session._ensure_pools()
-            futures = [
-                pools[index].submit(_worker_restore, str(shard_paths[index]))
-                for index in range(session.n_shards)
-            ]
-            wait(futures)
-            for future in futures:
-                future.result()
-            # Seed the crash-recovery baselines: a worker that dies
-            # before the first resync must get the restored state
-            # resubmitted, not a fresh session.
-            futures = [
-                pools[index].submit(_worker_state)
-                for index in range(session.n_shards)
-            ]
-            wait(futures)
-            states = [future.result() for future in futures]
-            for index, state in enumerate(states):
-                session._store_fetched_state(index, state)
-        else:
-            session._shards = [
-                SchemaSession.restore(path) for path in shard_paths
-            ]
-            states = [shard.discovery_state for shard in session._shards]
+        try:
+            if session.parallel:
+                unions = session._restore_workers(shard_paths)
+            else:
+                session._shards = [
+                    SchemaSession.restore(path) for path in shard_paths
+                ]
+                unions = [
+                    shard.discovery_state.union for shard in session._shards
+                ]
+        except BaseException:
+            session.close()
+            raise
         if session._union is not None:
             # Every row of a node reaches its owner shard, so the owner's
             # union holds the node's first version; a stub copy elsewhere
             # may hold a later one.  Each edge lives in its owner's union
             # only.
             shard_of = session._partitioner.shard_of
-            for index, state in enumerate(states):
-                for node in state.union.nodes():
+            for index, union in enumerate(unions):
+                for node in union.nodes():
                     if shard_of(node.node_id) == index:
                         session._union.add_node(node)
-            for state in states:
-                for edge in state.union.edges():
+            for union in unions:
+                for edge in union.edges():
                     session._union.add_edge(edge)
         return session
+
+    def _restore_workers(self, shard_paths: list[Path]) -> list[PropertyGraph]:
+        """Restore every worker from its shard file; the shard unions.
+
+        The files become the recovery baselines.  While the workers
+        restore, the coordinator reads the unions from the same files
+        (``retain_union`` only) -- without building a session or growing
+        its interner: a shard's state never crosses to the coordinator.
+        """
+        pools = self._ensure_pools()
+        futures = [
+            pools[index].submit(_worker_restore, str(path))
+            for index, path in enumerate(shard_paths)
+        ]
+        unions = (
+            [read_checkpoint_payload(path)["union"] for path in shard_paths]
+            if self._union is not None
+            else []
+        )
+        for index, path in enumerate(shard_paths):
+            self._baselines.adopt(index, self._baselines.link(index, path))
+        wait(futures)
+        for future in futures:
+            future.result()
+        return unions

@@ -93,34 +93,42 @@ def merge_into(
     ``incoming`` is read-only; its types are copied before absorption.
     Types are processed -- and merge candidates scanned -- in canonical
     content order, so the result does not depend on either schema's
-    insertion order.
+    insertion order.  Labelled targets are found through one token index
+    per call, kept current as types are added: each type's token is
+    computed once.
     """
+    nodes_by_token: dict[str, NodeType] = {}
+    for node_type in target.node_types():
+        if node_type.labels:
+            # The first-inserted type wins, as in node_type_by_token.
+            nodes_by_token.setdefault(node_type.token, node_type)
     deferred_nodes: list[NodeType] = []
     for node_type in sorted(incoming.node_types(), key=_node_sort_key):
         if node_type.labels:
-            existing = target.node_type_by_token(node_type.token)
+            token = node_type.token
+            existing = nodes_by_token.get(token)
             if existing is not None:
                 _absorb_sorted(existing, node_type)
             else:
-                _add_node_copy(target, node_type)
+                nodes_by_token[token] = _add_node_copy(target, node_type)
         else:
             deferred_nodes.append(node_type)
 
     for node_type in deferred_nodes:
         _merge_unlabeled_node(target, node_type, theta)
 
+    edges_by_token: dict[str, list[EdgeType]] = {}
+    for edge_type in target.edge_types():
+        if edge_type.labels:
+            edges_by_token.setdefault(edge_type.token, []).append(edge_type)
     deferred_edges: list[EdgeType] = []
     for edge_type in sorted(incoming.edge_types(), key=_edge_sort_key):
         if edge_type.labels:
             # Only same-token labelled types can match; sorting just them
             # (the key leads with the token) yields the same first match
-            # as scanning every type in canonical order.
-            token = edge_type.token
-            same_token = [
-                candidate
-                for candidate in target.edge_types()
-                if candidate.labels and candidate.token == token
-            ]
+            # as scanning every type in canonical order.  Absorption
+            # moves endpoint tokens, so they sort at use time.
+            same_token = edges_by_token.setdefault(edge_type.token, [])
             existing = next(
                 (
                     candidate
@@ -132,7 +140,7 @@ def merge_into(
             if existing is not None:
                 _absorb_sorted(existing, edge_type)
             else:
-                _add_edge_copy(target, edge_type)
+                same_token.append(_add_edge_copy(target, edge_type))
         else:
             deferred_edges.append(edge_type)
 
@@ -149,14 +157,14 @@ def _absorb_sorted(existing, incoming) -> None:
 
 def _add_node_copy(target: SchemaGraph, node_type: NodeType) -> NodeType:
     clone = node_type.copy()
-    if any(t.type_id == clone.type_id for t in target.node_types()):
+    if target.has_node_type(clone.type_id):
         clone.type_id = target.new_type_id("n")
     return target.add_node_type(clone)
 
 
 def _add_edge_copy(target: SchemaGraph, edge_type: EdgeType) -> EdgeType:
     clone = edge_type.copy()
-    if any(t.type_id == clone.type_id for t in target.edge_types()):
+    if target.has_edge_type(clone.type_id):
         clone.type_id = target.new_type_id("e")
     return target.add_edge_type(clone)
 

@@ -358,6 +358,14 @@ class SchemaGraph:
         except KeyError:
             raise SchemaError(f"no edge type {type_id!r}") from None
 
+    def has_node_type(self, type_id: str) -> bool:
+        """True when a node type is registered under ``type_id``."""
+        return type_id in self._node_types
+
+    def has_edge_type(self, type_id: str) -> bool:
+        """True when an edge type is registered under ``type_id``."""
+        return type_id in self._edge_types
+
     @property
     def node_type_count(self) -> int:
         """Number of node types."""

@@ -1,13 +1,16 @@
 """Unit tests for the sharded session: partitioning, stubs, dirty
 tracking, per-shard checkpoint manifests, and process-parallel mode."""
 
+import gc
 import pickle
 
 import pytest
 
+from repro.core import sharding
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.durability import write_artifact
 from repro.core.pipeline import PGHive
+from repro.core.recovery import DurableShardedSchemaSession
 from repro.core.session import CHECKPOINT_MAGIC, SchemaSession
 from repro.core.sharding import (
     MANIFEST_MAGIC,
@@ -212,7 +215,7 @@ class TestShardedSession:
             assert session._shard_views[index] is cached[index]
         assert session._shard_views[target_shard] is not cached[target_shard]
         # Reads fetch views only: serial shards have no baselines at all.
-        assert session._shard_states == [None] * 4
+        assert session._baselines.paths == [None] * 4
 
     def test_merged_state_accessor_is_gone(self):
         # A read folds schemas only; no merged DiscoveryState exists.
@@ -451,8 +454,11 @@ class TestIngestStream:
             longest.append(max(map(len, session._pending)))
             assert len(longest) == len(change_sets) + 1
             assert max(longest) < 4
-            # Resyncs fetched every shard's state before any read.
-            assert all(state is not None for state in session._shard_states)
+            # Resyncs wrote every shard's baseline file before any read.
+            assert all(
+                path is not None and path.is_file()
+                for path in session._baselines.paths
+            )
             assert schema_fingerprint(session.schema()) == schema_fingerprint(
                 serial.schema()
             )
@@ -565,3 +571,145 @@ class TestParallelMode:
         resumed = ShardedSchemaSession.restore(directory, parallel=False)
         assert not resumed.parallel
         assert schema_fingerprint(resumed.schema()) == expected
+
+
+class TestRecoveryBaselines:
+    """A parallel shard's crash-recovery baseline is a checkpoint file
+    its worker reads and writes: no shard state crosses to the
+    coordinator, and no baseline file outlives its session."""
+
+    def test_worker_state_entry_points_are_gone(self):
+        assert not hasattr(sharding, "_worker_state")
+        assert not hasattr(sharding, "_worker_adopt")
+
+    def test_no_discovery_state_reaches_the_coordinator(
+        self, tmp_path, monkeypatch
+    ):
+        config = PGHiveConfig(seed=1)
+        inserts = feed(76, nodes_per_set=2)
+        change_sets = list(inserts[:3])
+        for index, change_set in enumerate(inserts[3:]):
+            change_sets.append(change_set)
+            if index % 10 == 9:
+                change_sets.append(ChangeSet.deletions(edges=[f"r{index}"]))
+        oracle = SchemaSession(config, retain_union=True)
+        for change_set in change_sets:
+            oracle.apply(change_set)
+        options = dict(n_shards=2, parallel=True, retain_union=True)
+        with ShardedSchemaSession(config, **options) as session:
+            for change_set in change_sets[:3]:
+                session.apply(change_set)
+            session.checkpoint(tmp_path / "ck")
+
+        crossed: list[str] = []
+
+        def reduce_ex(state, protocol):
+            crossed.append("pickled")
+            return object.__reduce_ex__(state, protocol)
+
+        def setstate(state, values):
+            crossed.append("unpickled")
+            state.__dict__.update(values)
+
+        monkeypatch.setattr(DiscoveryState, "__reduce_ex__", reduce_ex)
+        monkeypatch.setattr(
+            DiscoveryState, "__setstate__", setstate, raising=False
+        )
+        restored = ShardedSchemaSession.restore(tmp_path / "ck")
+        try:
+            tail = change_sets[3:]
+            assert len(tail) >= 70 + 3
+            for change_set in tail[:70]:
+                restored.apply(change_set)
+            restored.checkpoint(tmp_path / "ck2")
+            checkpointed = list(restored._baselines.paths)
+            monkeypatch.setattr("repro.core.sharding.RESYNC_EVERY", 1)
+            restored.apply(tail[70])
+            for change_set in tail[71:]:
+                restored.apply(change_set)
+            # The forced resync replaced the checkpoint's baselines.
+            assert all(
+                path is not None and path not in checkpointed
+                for path in restored._baselines.paths
+            )
+            assert schema_fingerprint(restored.schema()) == schema_fingerprint(
+                oracle.schema()
+            )
+        finally:
+            restored.close()
+        assert crossed == []
+
+    def test_restore_leaves_the_interner_alone(self, tmp_path):
+        # Shard files carry interner content the coordinator never sees
+        # (MinHash token strings of LDBC's edges); restore reads only
+        # their unions.
+        graph = load_dataset("LDBC", nodes=200, seed=1).graph
+        change_sets = changesets_from_elements(
+            [*graph.nodes(), *graph.edges()], batch_size=100
+        )
+        config = PGHiveConfig(seed=1, method=ClusteringMethod.MINHASH)
+        options = dict(n_shards=2, parallel=True, retain_union=True)
+        with ShardedSchemaSession(config, **options) as session:
+            for change_set in change_sets:
+                session.apply(change_set)
+            session.checkpoint(tmp_path / "ck")
+            expected = schema_fingerprint(session.schema())
+        before = global_interner().snapshot()
+        with ShardedSchemaSession.restore(tmp_path / "ck") as restored:
+            assert global_interner().snapshot() == before
+            assert schema_fingerprint(restored.schema()) == expected
+
+    def test_baseline_directory_never_outlives_its_session(self, tmp_path):
+        config = PGHiveConfig(seed=1)
+        made: list = []
+
+        def session_with_baselines():
+            session = ShardedSchemaSession(config, n_shards=2, parallel=True)
+            for change_set in feed(2):
+                session.apply(change_set)
+            session.checkpoint(tmp_path / f"ck{len(made)}")
+            directory = session._baselines._directory
+            assert directory.is_dir()
+            assert directory.name.startswith("pghive-baselines-")
+            made.append(directory)
+            return session
+
+        session_with_baselines().close()
+        assert not made[-1].exists()
+        with session_with_baselines():
+            pass
+        assert not made[-1].exists()
+        session = session_with_baselines()
+        pools = session._pools
+        del session
+        gc.collect()
+        try:
+            assert not made[-1].exists()
+        finally:
+            for pool in pools:
+                pool.shutdown()
+
+    def test_recovered_durable_session_owns_the_baselines(self, tmp_path):
+        config = PGHiveConfig(seed=1)
+        home = tmp_path / "durable"
+        with DurableShardedSchemaSession(
+            home, config, n_shards=2, parallel=True, retain_union=True
+        ) as durable:
+            for change_set in feed(3):
+                durable.apply(change_set)
+            durable.checkpoint()
+            durable.apply(ChangeSet.deletions(edges=["r1"]))
+            expected = schema_fingerprint(durable.schema())
+        recovered = DurableShardedSchemaSession.recover(home, parallel=True)
+        try:
+            gc.collect()  # the restored donor is gone
+            directory = recovered._baselines._directory
+            assert directory.is_dir()
+            assert home not in directory.parents
+            assert all(
+                path.parent == directory for path in recovered._baselines.paths
+            )
+            assert schema_fingerprint(recovered.schema()) == expected
+        finally:
+            recovered.close()
+        assert not directory.exists()

@@ -1,10 +1,12 @@
 """Integration: incremental discovery agrees with static discovery."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import ClusteringMethod, PGHiveConfig
 from repro.core.pipeline import PGHive
-from repro.datasets import load_dataset
+from repro.datasets import load_dataset, reduce_label_availability
 from repro.eval.clustering_metrics import majority_f1
 from repro.graph.batching import split_into_batches
 from repro.schema.model import subsumes
@@ -71,3 +73,27 @@ class TestBatchCountInvariance:
         incremental = PGHive(config).discover_incremental([batch])
         assert subsumes(incremental.schema, static.schema)
         assert subsumes(static.schema, incremental.schema)
+
+
+@pytest.mark.parametrize("method", list(ClusteringMethod))
+@pytest.mark.parametrize("name", ["LDBC", "IYP"])
+def test_resent_unlabeled_endpoints_land_in_one_type(method, name):
+    """``split_into_batches`` re-sends endpoint nodes with later batches'
+    edges; at 0% labels every node must still be an instance of exactly
+    one node type, whichever batch carried its copies."""
+    graph = reduce_label_availability(
+        load_dataset(name, nodes=300, seed=0).graph, 0.0, seed=0
+    )
+    batches = split_into_batches(graph, 4, seed=0)
+    resent = sum(batch.node_count for batch in batches) - graph.node_count
+    assert resent > 0
+    config = PGHiveConfig(method=method, seed=0)
+    schema = PGHive(config).discover_incremental(batches).schema
+    owners = Counter(
+        instance_id
+        for node_type in schema.node_types()
+        for instance_id in node_type.instance_ids
+    )
+    assert {node_id: owners[node_id] for node_id in graph.node_ids()} == {
+        node_id: 1 for node_id in graph.node_ids()
+    }
